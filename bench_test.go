@@ -64,7 +64,7 @@ func BenchmarkFigure2SecurityRange(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := curve.SecurityRange(core.PST{Rho1: 0.30, Rho2: 0.55}, 0.01); err != nil {
+		if _, err := curve.SecurityRange(core.PST{Rho1: 0.30, Rho2: 0.55}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func BenchmarkFigure3SecurityRange(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := curve.SecurityRange(core.PST{Rho1: 2.30, Rho2: 2.30}, 0.01); err != nil {
+		if _, err := curve.SecurityRange(core.PST{Rho1: 2.30, Rho2: 2.30}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -132,7 +132,7 @@ func BenchmarkTable5Renormalize(b *testing.B) {
 func BenchmarkRBTScalingM(b *testing.B) {
 	for _, m := range []int{1000, 4000, 16000, 64000} {
 		data := matrix.RandomDense(m, 8, rand.New(rand.NewSource(1)))
-		opts := core.Options{Thresholds: []core.PST{{Rho1: 1e-6, Rho2: 1e-6}}, GridStep: 0.5}
+		opts := core.Options{Thresholds: []core.PST{{Rho1: 1e-6, Rho2: 1e-6}}}
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -149,7 +149,7 @@ func BenchmarkRBTScalingM(b *testing.B) {
 func BenchmarkRBTScalingN(b *testing.B) {
 	for _, n := range []int{4, 8, 16, 32} {
 		data := matrix.RandomDense(4000, n, rand.New(rand.NewSource(2)))
-		opts := core.Options{Thresholds: []core.PST{{Rho1: 1e-6, Rho2: 1e-6}}, GridStep: 0.5}
+		opts := core.Options{Thresholds: []core.PST{{Rho1: 1e-6, Rho2: 1e-6}}}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -355,27 +355,6 @@ func BenchmarkClusteringAlgorithms(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := w.mk().Cluster(w.data); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSecurityRangeGridStep is the ABL1 ablation as a bench: scan cost
-// versus grid resolution.
-func BenchmarkSecurityRangeGridStep(b *testing.B) {
-	nd := dataset.CardiacNormalized().Data
-	curve, err := core.NewVarianceCurve(nd, core.Pair{I: 0, J: 2}, stats.Sample)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, step := range []float64{5, 1, 0.1, 0.01} {
-		step := step
-		b.Run(fmt.Sprintf("step=%g", step), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := curve.SecurityRange(core.PST{Rho1: 0.30, Rho2: 0.55}, step); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -34,7 +34,7 @@ func main() {
 
 func run(args []string, w io.Writer) (failed int, err error) {
 	fs := flag.NewFlagSet("ppcbench", flag.ContinueOnError)
-	id := fs.String("id", "", "run only the experiment with this ID (T1..T6, F2, F3, TH1, TH2, C1, EXT1..EXT4, ABL1..ABL3)")
+	id := fs.String("id", "", "run only the experiment with this ID (T1..T6, F2, F3, TH1, TH2, C1, EXT1..EXT6, ABL2, ABL3)")
 	quick := fs.Bool("quick", false, "shrink the Theorem 1 timing sweep")
 	if err := fs.Parse(args); err != nil {
 		return 0, err

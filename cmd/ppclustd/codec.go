@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"ppclust/internal/codec"
+	"ppclust/internal/matrix"
 )
 
 const (
@@ -70,13 +71,14 @@ type rowReader interface {
 	Read() ([]float64, error)
 }
 
-// rowWriter emits numeric rows one at a time. Close marks the stream
-// complete (the binary format writes its end frame there — a response
-// aborted before Close reads as truncated on the client, never as a
+// rowWriter emits numeric rows a block at a time; the binary format
+// writes each block as one batch frame. Close marks the stream complete
+// (the binary format writes its end frame there — a response aborted
+// before Close reads as truncated on the client, never as a
 // short-but-valid dataset); for the text formats it is a flush.
 type rowWriter interface {
 	WriteNames(names []string) error
-	WriteRow(row []float64) error
+	WriteBatch(b *matrix.Dense) error
 	Flush() error
 	Close() error
 }
@@ -111,10 +113,10 @@ type binaryWriter struct {
 	bw *codec.Writer
 }
 
-func (b *binaryWriter) WriteNames(names []string) error { return b.bw.WriteHeader(names, false) }
-func (b *binaryWriter) WriteRow(row []float64) error    { return b.bw.WriteRow(row) }
-func (b *binaryWriter) Flush() error                    { return b.bw.Flush() }
-func (b *binaryWriter) Close() error                    { return b.bw.Close() }
+func (b *binaryWriter) WriteNames(names []string) error  { return b.bw.WriteHeader(names, false) }
+func (b *binaryWriter) WriteBatch(m *matrix.Dense) error { return b.bw.WriteBatch(m, nil) }
+func (b *binaryWriter) Flush() error                     { return b.bw.Flush() }
+func (b *binaryWriter) Close() error                     { return b.bw.Close() }
 
 // csvReader parses a header row of names followed by numeric records.
 type csvReader struct {
@@ -192,15 +194,20 @@ type csvWriter struct {
 
 func (c *csvWriter) WriteNames(names []string) error { return c.cw.Write(names) }
 
-func (c *csvWriter) WriteRow(row []float64) error {
-	if cap(c.scratch) < len(row) {
-		c.scratch = make([]string, len(row))
+func (c *csvWriter) WriteBatch(b *matrix.Dense) error {
+	if cap(c.scratch) < b.Cols() {
+		c.scratch = make([]string, b.Cols())
 	}
-	rec := c.scratch[:len(row)]
-	for j, v := range row {
-		rec[j] = strconv.FormatFloat(v, 'g', -1, 64)
+	rec := c.scratch[:b.Cols()]
+	for i := 0; i < b.Rows(); i++ {
+		for j, v := range b.RawRow(i) {
+			rec[j] = strconv.FormatFloat(v, 'g', -1, 64)
+		}
+		if err := c.cw.Write(rec); err != nil {
+			return err
+		}
 	}
-	return c.cw.Write(rec)
+	return nil
 }
 
 func (c *csvWriter) Flush() error {
@@ -218,15 +225,20 @@ type ndjsonWriter struct {
 // WriteNames is a no-op for NDJSON: the format carries bare rows.
 func (n *ndjsonWriter) WriteNames([]string) error { return nil }
 
-func (n *ndjsonWriter) WriteRow(row []float64) error {
-	raw, err := json.Marshal(row)
-	if err != nil {
-		return err
+func (n *ndjsonWriter) WriteBatch(b *matrix.Dense) error {
+	for i := 0; i < b.Rows(); i++ {
+		raw, err := json.Marshal(b.RawRow(i))
+		if err != nil {
+			return err
+		}
+		if _, err := n.w.Write(raw); err != nil {
+			return err
+		}
+		if err := n.w.WriteByte('\n'); err != nil {
+			return err
+		}
 	}
-	if _, err := n.w.Write(raw); err != nil {
-		return err
-	}
-	return n.w.WriteByte('\n')
+	return nil
 }
 
 func (n *ndjsonWriter) Flush() error { return n.w.Flush() }

@@ -137,18 +137,9 @@ func (s *server) handleDatasetRows(w http.ResponseWriter, r *http.Request) {
 			"trace", obs.TraceID(r.Context()), "err", err.Error())
 		return
 	}
-	bw, _ := rw.(*binaryWriter)
 	werr := ds.Blocks(func(b *matrix.Dense) error {
-		if bw != nil {
-			if err := bw.bw.WriteBatch(b, nil); err != nil {
-				return err
-			}
-		} else {
-			for i := 0; i < b.Rows(); i++ {
-				if err := rw.WriteRow(b.RawRow(i)); err != nil {
-					return err
-				}
-			}
+		if err := rw.WriteBatch(b); err != nil {
+			return err
 		}
 		flush(rw, w)
 		return nil

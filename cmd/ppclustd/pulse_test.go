@@ -12,6 +12,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -61,13 +62,17 @@ func (s *alertSink) firing() []obs.AlertEvent {
 	return out
 }
 
+// unmeetableP99US is a protect p99 objective, in microseconds, that no
+// served request can meet, so the SLO breaches however fast the engine is.
+const unmeetableP99US = 1
+
 // TestRingPulseAlertIncidentFlow is the pppulse acceptance: breach an
 // SLO on one node of a 3-node ring and follow the evidence everywhere
 // it should land.
 func TestRingPulseAlertIncidentFlow(t *testing.T) {
 	sink := newAlertSink(t)
 
-	objectives, err := obs.ParseSLO("protect:p99<1ms")
+	objectives, err := obs.ParseSLO(fmt.Sprintf("protect:p99<%dus", unmeetableP99US))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +221,7 @@ func TestRingPulseAlertIncidentFlow(t *testing.T) {
 		t.Fatalf("incident trace %s does not resolve: %d %s", inc.TraceIDs[0], resp.StatusCode, body)
 	}
 
-	// Metrics history shows the protect latency series over the 1000µs
+	// Metrics history shows the protect latency series over the
 	// threshold — the evidence an operator would graph.
 	hist, err := c1.MetricsHistory(t.Context(), ppclient.HistoryFilter{
 		Series: []string{"http_request_duration_us_p99"},
@@ -230,13 +235,13 @@ func TestRingPulseAlertIncidentFlow(t *testing.T) {
 			continue
 		}
 		for _, p := range hs.Points {
-			if p.V > 1000 {
+			if p.V > unmeetableP99US {
 				over = true
 			}
 		}
 	}
 	if !over {
-		t.Fatalf("no p99 point over 1000µs for the protect route in %+v", hist.Series)
+		t.Fatalf("no p99 point over %dµs for the protect route in %+v", unmeetableP99US, hist.Series)
 	}
 
 	// Cluster-scope history carries node labels from every node.

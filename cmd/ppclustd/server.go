@@ -20,6 +20,7 @@ import (
 	"ppclust/internal/federation"
 	"ppclust/internal/jobs"
 	"ppclust/internal/keyring"
+	"ppclust/internal/matrix"
 	"ppclust/internal/obs"
 	"ppclust/internal/service"
 )
@@ -292,7 +293,9 @@ func (s *server) handleProtect(w http.ResponseWriter, r *http.Request) {
 
 // protectFit buffers the body and hands it to the key service, which
 // fits, stores the key version (claiming the owner when new) and returns
-// the release to stream back.
+// the release to stream back. The decoded body belongs to this request
+// alone, so the release overwrites it instead of taking a second buffer
+// of the same size.
 func (s *server) protectFit(w http.ResponseWriter, r *http.Request, q urlValues, format string, rr rowReader, owner string, st service.OwnerState) {
 	opts, err := parseProtectOptions(q)
 	if err != nil {
@@ -304,6 +307,7 @@ func (s *server) protectFit(w http.ResponseWriter, r *http.Request, q urlValues,
 		writeErr(w, err)
 		return
 	}
+	opts.Arena = engine.ReleaseInto(data.Raw())
 	res, err := s.svc.Keys.FitProtect(r.Context(), owner, st, data, opts)
 	if err != nil {
 		writeErr(w, err)
@@ -320,13 +324,15 @@ func (s *server) protectFit(w http.ResponseWriter, r *http.Request, q urlValues,
 		s.logger.Warn("protect write header", "owner", owner, "trace", obs.TraceID(r.Context()), "err", err.Error())
 		return
 	}
-	for i := 0; i < res.Released.Rows(); i++ {
-		if err := rw.WriteRow(res.Released.RawRow(i)); err != nil {
-			s.logger.Warn("protect write row", "owner", owner, "row", i, "trace", obs.TraceID(r.Context()), "err", err.Error())
-			return
+	rel := res.Released
+	for lo := 0; lo < rel.Rows(); lo += s.batchRows {
+		if lo > 0 {
+			flush(rw, w) // the last batch goes out with the end frame
 		}
-		if (i+1)%s.batchRows == 0 {
-			flush(rw, w)
+		hi := min(lo+s.batchRows, rel.Rows())
+		if err := rw.WriteBatch(matrix.NewDense(hi-lo, rel.Cols(), rel.Raw()[lo*rel.Cols():hi*rel.Cols()])); err != nil {
+			s.logger.Warn("protect write rows", "owner", owner, "row", lo, "trace", obs.TraceID(r.Context()), "err", err.Error())
+			return
 		}
 	}
 	if err := rw.Close(); err != nil {
@@ -468,10 +474,8 @@ func (s *server) pump(ctx context.Context, w http.ResponseWriter, format string,
 				}
 				wroteNames = true
 			}
-			for i := 0; i < out.Rows(); i++ {
-				if err := rw.WriteRow(out.RawRow(i)); err != nil {
-					abort("writing", err)
-				}
+			if err := rw.WriteBatch(out); err != nil {
+				abort("writing", err)
 			}
 			flush(rw, w)
 		}

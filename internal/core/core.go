@@ -89,16 +89,6 @@ type Options struct {
 	// Denominator selects the variance convention for PST checks. The
 	// paper prints sample (N-1) variances, which is the zero value.
 	Denominator stats.Denominator
-	// GridStep is the security-range scan resolution in degrees; 0 means
-	// 0.01. Endpoints are then refined by bisection to ~1e-9 degrees.
-	GridStep float64
-}
-
-func (o *Options) gridStep() float64 {
-	if o.GridStep <= 0 {
-		return 0.01
-	}
-	return o.GridStep
 }
 
 // RoundRobinPairs groups attributes (0,1), (2,3), ... For odd n the last

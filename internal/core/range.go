@@ -95,63 +95,155 @@ func (iv Interval) String() string { return fmt.Sprintf("[%.2f°, %.2f°]", iv.L
 
 // SecurityRange computes the set of angles in [0, 360] whose rotation
 // satisfies the PST — the "security range" of Section 4.3 Step 2(c) — as a
-// union of disjoint intervals. The margin function is scanned on a gridStep
-// grid and each sign change is refined by bisection.
-func (c *VarianceCurve) SecurityRange(t PST, gridStep float64) ([]Interval, error) {
+// union of disjoint intervals with exact endpoints.
+//
+// With t = tan(θ/2), 1-cosθ = 2t²/(1+t²) and sinθ = 2t/(1+t²), so
+// multiplying each constraint by (1+t²)² > 0 turns its boundary into a
+// quartic in t:
+//
+//	Var(X-X') = ρ1  ⇔  (4σx²-ρ1)t⁴ - 8σxy·t³ + (4σy²-2ρ1)t² - ρ1 = 0
+//	Var(Y-Y') = ρ2  ⇔  (4σy²-ρ2)t⁴ + 8σxy·t³ + (4σx²-2ρ2)t² - ρ2 = 0
+//
+// Roots with |t| ≤ 1 are the boundaries in [0°, 90°] ∪ [270°, 360°]; the
+// reversed polynomials in u = 1/t = cot(θ/2) with |u| ≤ 1 give those in
+// [90°, 270°], so θ = 180° is the ordinary root u = 0 rather than t = ∞.
+// The at most eight boundaries cut [0°, 360°] into pieces on which the
+// margin keeps its sign; a piece is feasible when the margin at its
+// midpoint is nonnegative, and feasible neighbours merge. The only
+// allocation is the returned slice.
+//
+// The second argument is unused. It was the resolution of the grid scan
+// this solver replaced and stays only so existing callers still compile.
+func (c *VarianceCurve) SecurityRange(t PST, _ float64) ([]Interval, error) {
 	if err := t.Valid(); err != nil {
 		return nil, err
 	}
-	if gridStep <= 0 {
-		gridStep = 0.01
+	a, b, cov := c.VarX, c.VarY, c.Cov
+	// Coefficients in ascending powers of t.
+	quartics := [2][5]float64{
+		{-t.Rho1, 0, 4*b - 2*t.Rho1, -8 * cov, 4*a - t.Rho1},
+		{-t.Rho2, 0, 4*a - 2*t.Rho2, 8 * cov, 4*b - t.Rho2},
 	}
-	margin := func(theta float64) float64 { return c.Margin(theta, t) }
-
-	var intervals []Interval
-	var openLo float64
-	inside := margin(0) >= 0
-	if inside {
-		openLo = 0
-	}
-	steps := int(math.Ceil(360 / gridStep))
-	prevTheta := 0.0
-	prevVal := margin(0)
-	for k := 1; k <= steps; k++ {
-		theta := math.Min(float64(k)*gridStep, 360)
-		val := margin(theta)
-		if (val >= 0) != inside {
-			// Sign change in (prevTheta, theta]: bisect to the boundary.
-			root := bisect(margin, prevTheta, theta, prevVal)
-			if inside {
-				intervals = append(intervals, Interval{Lo: openLo, Hi: root})
-			} else {
-				openLo = root
+	var cuts [2 + 2*2*4]float64 // 0°, 360° and ≤ 4 roots per quartic per chart
+	cuts[1] = 360
+	n := 2
+	var roots [4]float64
+	for _, q := range quartics {
+		for _, x := range roots[:realRoots(&q, &roots)] {
+			theta := math.Atan(x) * (360 / math.Pi)
+			if theta < 0 {
+				theta += 360
 			}
-			inside = !inside
+			cuts[n] = theta
+			n++
 		}
-		prevTheta, prevVal = theta, val
+		rev := [5]float64{q[4], q[3], q[2], q[1], q[0]}
+		for _, u := range roots[:realRoots(&rev, &roots)] {
+			cuts[n] = math.Atan2(1, u) * (360 / math.Pi)
+			n++
+		}
 	}
-	if inside {
-		intervals = append(intervals, Interval{Lo: openLo, Hi: 360})
+	for i := 1; i < n; i++ { // insertion sort: n ≤ 18
+		for j := i; j > 0 && cuts[j] < cuts[j-1]; j-- {
+			cuts[j], cuts[j-1] = cuts[j-1], cuts[j]
+		}
 	}
-	if len(intervals) == 0 {
+	var ivs [len(cuts)]Interval
+	k := 0
+	for i := 0; i+1 < n; i++ {
+		lo, hi := cuts[i], cuts[i+1]
+		if hi <= lo || c.Margin(lo+(hi-lo)/2, t) < 0 {
+			continue
+		}
+		if k > 0 && ivs[k-1].Hi == lo {
+			ivs[k-1].Hi = hi
+		} else {
+			ivs[k] = Interval{Lo: lo, Hi: hi}
+			k++
+		}
+	}
+	if k == 0 {
 		return nil, ErrEmptySecurityRange
 	}
-	return intervals, nil
+	return append([]Interval(nil), ivs[:k]...), nil
 }
 
-// bisect refines a sign change of f within (lo, hi], where f(lo) has the
-// sign recorded in flo, to ~1e-9 degree precision.
-func bisect(f func(float64) float64, lo, hi, flo float64) float64 {
-	loNeg := flo < 0
-	for i := 0; i < 60 && hi-lo > 1e-9; i++ {
-		mid := (lo + hi) / 2
-		if (f(mid) < 0) == loNeg {
-			lo = mid
+// realRoots stores in roots, ascending, the real roots in [-1, 1] of the
+// polynomial p[0] + p[1]·x + … + p[4]·x⁴ (leading coefficients may be
+// zero) and returns how many there are. The roots of each derivative cut
+// [-1, 1] into pieces on which the derivative one order lower is
+// monotone, so each piece holds at most one of its roots: the linear p‴
+// is solved directly, then p″, p′ and p piece by piece.
+func realRoots(p *[5]float64, roots *[4]float64) int {
+	var d [4][5]float64 // d[k] is the k-th derivative of p
+	d[0] = *p
+	for k := 1; k < 4; k++ {
+		for i := 1; i < 5; i++ {
+			d[k][i-1] = float64(i) * d[k-1][i]
+		}
+	}
+	var crit [4]float64
+	n := 0
+	if d[3][1] != 0 {
+		if x := -d[3][0] / d[3][1]; x > -1 && x < 1 {
+			crit[0], n = x, 1
+		}
+	}
+	for k := 2; k >= 0; k-- {
+		var next [4]float64
+		m := 0
+		lo := -1.0
+		for i := 0; i <= n; i++ {
+			hi := 1.0
+			if i < n {
+				hi = crit[i]
+			}
+			if x, ok := monotoneRoot(&d[k], lo, hi); ok && (m == 0 || x > next[m-1]) {
+				next[m] = x
+				m++
+			}
+			lo = hi
+		}
+		crit, n = next, m
+	}
+	*roots = crit
+	return n
+}
+
+// monotoneRoot finds the root of p in [lo, hi], on which p is monotone,
+// by bisection to adjacent floats (or a width of 2⁻⁷⁹ near zero). It
+// reports false when p has the same nonzero sign at both ends.
+func monotoneRoot(p *[5]float64, lo, hi float64) (float64, bool) {
+	flo, fhi := horner(p, lo), horner(p, hi)
+	switch {
+	case flo == 0:
+		return lo, true
+	case fhi == 0:
+		return hi, true
+	case (flo < 0) == (fhi < 0):
+		return 0, false
+	}
+	for range 80 {
+		mid := lo + (hi-lo)/2
+		if mid == lo || mid == hi {
+			break
+		}
+		fm := horner(p, mid)
+		if fm == 0 {
+			return mid, true
+		}
+		if (fm < 0) == (flo < 0) {
+			lo, flo = mid, fm
 		} else {
 			hi = mid
 		}
 	}
-	return (lo + hi) / 2
+	return lo + (hi-lo)/2, true
+}
+
+// horner evaluates p[0] + p[1]·x + … + p[4]·x⁴.
+func horner(p *[5]float64, x float64) float64 {
+	return (((p[4]*x+p[3])*x+p[2])*x+p[1])*x + p[0]
 }
 
 // TotalWidth sums the widths of a set of intervals.

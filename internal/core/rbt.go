@@ -39,9 +39,8 @@ type Result struct {
 // report. The input matrix is not modified.
 //
 // Complexity is O(m·n) in rows m and attributes n (Theorem 1): each of the
-// ≤ ⌈n/2⌉ pairs costs one O(m) statistics pass, an O(1)-per-probe security
-// range scan whose probe count is independent of m and n, and one O(m)
-// rotation.
+// ≤ ⌈n/2⌉ pairs costs one O(m) statistics pass, an O(1) closed-form
+// security range (the roots of two quartics) and one O(m) rotation.
 func Transform(data *matrix.Dense, opts Options) (*Result, error) {
 	m, n := data.Dims()
 	if m < 2 {
@@ -82,7 +81,7 @@ func Transform(data *matrix.Dense, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pair %d: %w", k, err)
 		}
-		ivs, err := curve.SecurityRange(thresholds[k], opts.gridStep())
+		ivs, err := curve.SecurityRange(thresholds[k], 0)
 		if err != nil {
 			return nil, fmt.Errorf("pair %d (%d,%d): %w", k, p.I, p.J, err)
 		}

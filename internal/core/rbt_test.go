@@ -104,7 +104,7 @@ func TestSecurityRangeFigure2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ivs, err := curve.SecurityRange(PST{Rho1: 0.30, Rho2: 0.55}, 0.01)
+	ivs, err := curve.SecurityRange(PST{Rho1: 0.30, Rho2: 0.55}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,14 +389,14 @@ func TestVarianceCurveSample(t *testing.T) {
 
 func TestSecurityRangeBadThreshold(t *testing.T) {
 	curve := &VarianceCurve{VarX: 1, VarY: 1, Cov: 0}
-	if _, err := curve.SecurityRange(PST{Rho1: 0, Rho2: 1}, 0.01); !errors.Is(err, ErrBadThreshold) {
+	if _, err := curve.SecurityRange(PST{Rho1: 0, Rho2: 1}, 0); !errors.Is(err, ErrBadThreshold) {
 		t.Fatal("invalid PST should fail")
 	}
 }
 
 func TestSecurityRangeDefaultsGrid(t *testing.T) {
 	curve := &VarianceCurve{VarX: 1, VarY: 1, Cov: 0}
-	ivs, err := curve.SecurityRange(PST{Rho1: 0.5, Rho2: 0.5}, 0) // 0 => default step
+	ivs, err := curve.SecurityRange(PST{Rho1: 0.5, Rho2: 0.5}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,6 +55,17 @@ type Arena struct {
 	cols32 []float32
 }
 
+// ReleaseInto returns an arena that writes the release into buf, which
+// should hold rows×cols values (a shorter buf is replaced by a fresh
+// allocation). Every Protect path reads an input element before it writes
+// the same position of the release, so buf may back the very matrix being
+// protected: the release then overwrites its input, and the caller saves
+// a second buffer of the input's size. The input's contents are
+// unspecified after a failed Protect. Like any arena, it also holds the
+// columnar gather buffer, so a one-request arena allocates that buffer
+// and lets it go with the request instead of keeping it pooled.
+func ReleaseInto(buf []float64) *Arena { return &Arena{out: buf} }
+
 // release returns an m×n output matrix backed by the arena, or a fresh
 // allocation when the receiver is nil (no arena supplied).
 func (a *Arena) release(m, n int) *matrix.Dense {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -104,6 +105,64 @@ func TestColumnarArenaReuse(t *testing.T) {
 			t.Fatalf("arena run %d: release does not alias the arena", i)
 		}
 	}
+}
+
+// TestReleaseIntoOwnInput: an arena over the input's own buffer releases in
+// place, and the release, key and parameters are bit-identical to an
+// arena-free Protect for every layout, precision and normalization, over
+// several row blocks and workers, with an even (fused sums) and an odd
+// (overlapping schedule) column count.
+func TestReleaseIntoOwnInput(t *testing.T) {
+	kernels := []struct{ layout, precision string }{
+		{LayoutRows, PrecisionFloat64},
+		{LayoutColumnar, PrecisionFloat64},
+		{LayoutColumnar, PrecisionFloat32},
+	}
+	for _, n := range []int{6, 7} {
+		data := randData(3001, n, int64(50+n))
+		for _, k := range kernels {
+			for _, method := range []string{NormZScore, NormMinMax, NormNone} {
+				e := New(3, 512)
+				opts := ProtectOptions{
+					Normalization: method,
+					Thresholds:    []core.PST{{Rho1: 1e-9, Rho2: 1e-9}},
+					Seed:          77,
+					Layout:        k.layout,
+					Precision:     k.precision,
+				}
+				want, err := e.Protect(data, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				in := data.Clone()
+				opts.Arena = ReleaseInto(in.Raw())
+				got, err := e.Protect(in, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("n=%d %s/%s %s", n, k.layout, k.precision, method)
+				if &got.Released.Raw()[0] != &in.Raw()[0] {
+					t.Fatalf("%s: release is not in the input's buffer", name)
+				}
+				if !bitsEqual(want.Released.Raw(), got.Released.Raw()) || !bitsEqual(want.Key.AnglesDeg, got.Key.AnglesDeg) ||
+					!bitsEqual(want.ParamsA, got.ParamsA) || !bitsEqual(want.ParamsB, got.ParamsB) {
+					t.Fatalf("%s: in-place protect differs from a fresh release", name)
+				}
+			}
+		}
+	}
+}
+
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestColumnarAllocSteadyState pins the scratch-arena satellite: with a

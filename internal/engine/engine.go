@@ -108,8 +108,6 @@ type ProtectOptions struct {
 	FixedAngles []float64
 	// Denominator selects the variance convention; zero value is Sample.
 	Denominator stats.Denominator
-	// GridStep is the security-range scan resolution; 0 means 0.01°.
-	GridStep float64
 	// Layout selects the kernel layout: LayoutColumnar (the default when
 	// empty) gathers the data into column-major scratch so each pair
 	// rotation streams two contiguous columns instead of touching every
@@ -128,7 +126,8 @@ type ProtectOptions struct {
 	// protect allocates ~nothing proportional to the data size. The
 	// returned Released matrix aliases the arena: it is only valid until
 	// the arena's next use, and an Arena must not be shared by concurrent
-	// Protect calls.
+	// Protect calls. ReleaseInto builds one that releases into a caller
+	// buffer, such as the input's own.
 	Arena *Arena
 }
 
@@ -263,7 +262,6 @@ type protectPlan struct {
 	method     string
 	pairs      []core.Pair
 	thresholds []core.PST
-	gridStep   float64
 	rng        *rand.Rand
 	layout     string
 	precision  string
@@ -314,10 +312,6 @@ func (e *Engine) planProtect(data *matrix.Dense, opts ProtectOptions) (*protectP
 	if opts.FixedAngles != nil && len(opts.FixedAngles) != len(pairs) {
 		return nil, fmt.Errorf("%w: %d fixed angles for %d pairs", core.ErrBadInput, len(opts.FixedAngles), len(pairs))
 	}
-	gridStep := opts.GridStep
-	if gridStep <= 0 {
-		gridStep = 0.01
-	}
 	rng := opts.Rand
 	if rng == nil {
 		seed := opts.Seed
@@ -331,7 +325,7 @@ func (e *Engine) planProtect(data *matrix.Dense, opts ProtectOptions) (*protectP
 	}
 	return &protectPlan{
 		m: m, n: n, method: method, pairs: pairs, thresholds: thresholds,
-		gridStep: gridStep, rng: rng, layout: layout, precision: precision,
+		rng: rng, layout: layout, precision: precision,
 	}, nil
 }
 
@@ -340,7 +334,7 @@ func (e *Engine) planProtect(data *matrix.Dense, opts ProtectOptions) (*protectP
 // It consumes pl.rng exactly like core.Transform would.
 func pickPairAngle(pl *protectPlan, opts ProtectOptions, k int, curve *core.VarianceCurve) (float64, core.PairReport, error) {
 	p := pl.pairs[k]
-	ivs, err := curve.SecurityRange(pl.thresholds[k], pl.gridStep)
+	ivs, err := curve.SecurityRange(pl.thresholds[k], 0)
 	if err != nil {
 		return 0, core.PairReport{}, fmt.Errorf("pair %d (%d,%d): %w", k, p.I, p.J, err)
 	}

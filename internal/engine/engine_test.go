@@ -24,7 +24,7 @@ func tinyPST() []core.PST { return []core.PST{{Rho1: 1e-6, Rho2: 1e-6}} }
 // every worker count, including the degenerate serial one.
 func TestParallelSerialBitIdentical(t *testing.T) {
 	data := randData(20000, 7, 1)
-	opts := ProtectOptions{Thresholds: tinyPST(), Seed: 42, GridStep: 0.5}
+	opts := ProtectOptions{Thresholds: tinyPST(), Seed: 42}
 	ref, err := New(1, 4096).Protect(data, opts)
 	if err != nil {
 		t.Fatal(err)

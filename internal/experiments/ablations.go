@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"ppclust/internal/core"
 	"ppclust/internal/dataset"
@@ -13,71 +12,6 @@ import (
 	"ppclust/internal/report"
 	"ppclust/internal/stats"
 )
-
-// Abl1GridStep ablates the security-range scan resolution: endpoints from
-// coarse grids are compared against a 0.001° reference. The design choice
-// under test is core.Options.GridStep's 0.01° default — fine enough that
-// the endpoint error is far below any printed precision, cheap enough that
-// the scan stays negligible next to the O(m·n) data pass.
-type Abl1GridStep struct{}
-
-// ID implements Experiment.
-func (Abl1GridStep) ID() string { return "ABL1" }
-
-// Title implements Experiment.
-func (Abl1GridStep) Title() string {
-	return "ablation: security-range grid step vs endpoint accuracy and scan time"
-}
-
-// Run implements Experiment.
-func (Abl1GridStep) Run() (*Outcome, error) {
-	nd, err := normalizedCardiac()
-	if err != nil {
-		return nil, err
-	}
-	curve, err := core.NewVarianceCurve(nd, paperPairs()[0], stats.Sample)
-	if err != nil {
-		return nil, err
-	}
-	pst := paperThresholds()[0]
-	ref, err := curve.SecurityRange(pst, 0.001)
-	if err != nil {
-		return nil, err
-	}
-	refLo, refHi := ref[0].Lo, ref[len(ref)-1].Hi
-
-	tb := report.NewTable("grid step (°)", "lower endpoint", "upper endpoint", "max endpoint error", "scan time")
-	var errAtDefault float64
-	steps := []float64{5, 1, 0.1, 0.01}
-	var prevErr = math.Inf(1)
-	monotone := true
-	for _, step := range steps {
-		start := time.Now()
-		ivs, err := curve.SecurityRange(pst, step)
-		if err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		lo, hi := ivs[0].Lo, ivs[len(ivs)-1].Hi
-		e := math.Max(math.Abs(lo-refLo), math.Abs(hi-refHi))
-		if step == 0.01 {
-			errAtDefault = e
-		}
-		if e > prevErr+1e-9 {
-			monotone = false
-		}
-		prevErr = e
-		tb.AddRow(fmt.Sprintf("%g", step),
-			fmt.Sprintf("%.4f", lo), fmt.Sprintf("%.4f", hi),
-			fmt.Sprintf("%.2e", e), elapsed.String())
-	}
-	checks := []Check{
-		{Name: "endpoint error at default 0.01° grid", Expected: 0, Measured: errAtDefault, Tolerance: 1e-6,
-			Note: "bisection refinement makes the endpoint error ≪ grid step"},
-		{Name: "error non-increasing as grid refines (1=yes)", Expected: 1, Measured: boolToFloat(monotone), Tolerance: 0},
-	}
-	return &Outcome{ID: "ABL1", Title: Abl1GridStep{}.Title(), Text: tb.String(), Checks: checks}, nil
-}
 
 // Abl2PairStrategy ablates Step 1's pair selection: round-robin versus
 // random pairings. Section 5.2 argues that "each attribute pair will lead
@@ -120,7 +54,7 @@ func (Abl2PairStrategy) Run() (*Outcome, error) {
 			if err != nil {
 				return 0, err
 			}
-			ivs, err := curve.SecurityRange(pst, 0.05)
+			ivs, err := curve.SecurityRange(pst, 0)
 			if err != nil {
 				return 0, err
 			}

@@ -90,7 +90,7 @@ func All() []Experiment {
 		Ext1VarianceFingerprint{}, Ext2SecuritySweep{},
 		Ext3BaselineComparison{}, Ext4AttackSuite{}, Ext5Multiparty{},
 		Ext6TradeoffFrontier{},
-		Abl1GridStep{}, Abl2PairStrategy{}, Abl3Normalization{},
+		Abl2PairStrategy{}, Abl3Normalization{},
 	}
 }
 

@@ -84,7 +84,7 @@ func TestExperimentIDsUnique(t *testing.T) {
 			t.Fatalf("experiment %s has no title", e.ID())
 		}
 	}
-	if len(seen) != 20 {
-		t.Fatalf("expected 20 experiments, got %d", len(seen))
+	if len(seen) != 19 {
+		t.Fatalf("expected 19 experiments, got %d", len(seen))
 	}
 }

@@ -66,7 +66,7 @@ func (Figure2) Run() (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	ivs, err := curve.SecurityRange(pst, 0.01)
+	ivs, err := curve.SecurityRange(pst, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +116,7 @@ func (Figure3) Run() (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	ivs, err := curve.SecurityRange(pst, 0.01)
+	ivs, err := curve.SecurityRange(pst, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -52,9 +52,6 @@ func (t Theorem1) Run() (*Outcome, error) {
 		opts := core.Options{
 			Thresholds: []core.PST{{Rho1: 1e-6, Rho2: 1e-6}},
 			Rand:       rand.New(rand.NewSource(2)),
-			// A coarse grid keeps the (m-independent) range scan from
-			// dominating at small m; correctness is unaffected.
-			GridStep: 2.0,
 		}
 		best := math.Inf(1)
 		for r := 0; r < repeats; r++ {

@@ -51,13 +51,15 @@ func (e OwnerExport) validate() error {
 }
 
 func (m *Memory) exportLocked(owner string) (OwnerExport, error) {
-	vs, hasKey := m.owners[owner]
+	h := m.owners[owner]
 	th, hasCred := m.tokens[owner]
-	if (!hasKey || len(vs) == 0) && !hasCred {
+	if h == nil && !hasCred {
 		return OwnerExport{}, fmt.Errorf("%w: owner %q", ErrNotFound, owner)
 	}
 	exp := OwnerExport{Owner: owner}
-	exp.Entries = append([]Entry(nil), vs...)
+	if h != nil {
+		exp.Entries = h.entries(owner)
+	}
 	if hasCred {
 		exp.TokenHash = append([]byte(nil), th...)
 	}
@@ -82,12 +84,15 @@ func (m *Memory) importOwnerLocked(exp OwnerExport) (changed bool, undo func(), 
 	if err := exp.validate(); err != nil {
 		return false, nil, err
 	}
-	prevEntries, hadEntries := m.owners[exp.Owner]
+	prev := m.owners[exp.Owner]
 	prevToken, hadToken := m.tokens[exp.Owner]
-	localMax := len(prevEntries)
+	localMax := 0
+	if prev != nil {
+		localMax = prev.versions()
+	}
 	undo = func() {
-		if hadEntries {
-			m.owners[exp.Owner] = prevEntries
+		if prev != nil {
+			m.owners[exp.Owner] = prev
 		} else {
 			delete(m.owners, exp.Owner)
 		}
@@ -98,7 +103,11 @@ func (m *Memory) importOwnerLocked(exp OwnerExport) (changed bool, undo func(), 
 		}
 	}
 	if exp.MaxVersion() > localMax {
-		m.owners[exp.Owner] = append([]Entry(nil), exp.Entries...)
+		h, err := newHistory(exp.Entries)
+		if err != nil {
+			return false, nil, fmt.Errorf("keyring: import for %q: %w", exp.Owner, err)
+		}
+		m.owners[exp.Owner] = h
 		changed = true
 	}
 	if exp.TokenHash != nil && (!hadToken || exp.MaxVersion() >= localMax) {
@@ -126,10 +135,8 @@ func (m *Memory) Owners() ([]string, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	seen := make(map[string]bool, len(m.owners)+len(m.tokens))
-	for o, vs := range m.owners {
-		if len(vs) > 0 {
-			seen[o] = true
-		}
+	for o := range m.owners {
+		seen[o] = true
 	}
 	for o := range m.tokens {
 		seen[o] = true

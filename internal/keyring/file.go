@@ -54,12 +54,19 @@ func OpenFile(path string) (*File, error) {
 		if err := ValidName(owner); err != nil {
 			return nil, err
 		}
+		if len(vs) == 0 {
+			continue
+		}
 		for i, e := range vs {
 			if e.Version != i+1 {
 				return nil, fmt.Errorf("keyring: %s: owner %q has non-contiguous version %d at index %d", path, owner, e.Version, i)
 			}
 		}
-		f.mem.owners[owner] = append([]Entry(nil), vs...)
+		h, err := newHistory(vs)
+		if err != nil {
+			return nil, fmt.Errorf("keyring: %s: owner %q: %w", path, owner, err)
+		}
+		f.mem.owners[owner] = h
 	}
 	for owner, h := range doc.Tokens {
 		if err := ValidName(owner); err != nil {
@@ -187,7 +194,11 @@ func (f *File) mutate(op func() (Entry, error)) (Entry, error) {
 // persistLocked writes the whole keyring atomically with 0600 permissions.
 // The caller holds f.mem.mu.
 func (f *File) persistLocked() error {
-	doc := fileDoc{Version: fileDocVersion, Owners: f.mem.owners, Tokens: f.mem.tokens}
+	owners := make(map[string][]Entry, len(f.mem.owners))
+	for owner, h := range f.mem.owners {
+		owners[owner] = h.entries(owner)
+	}
+	doc := fileDoc{Version: fileDocVersion, Owners: owners, Tokens: f.mem.tokens}
 	raw, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return fmt.Errorf("keyring: encoding: %w", err)

@@ -108,18 +108,21 @@ type Store interface {
 	Owners() ([]string, error)
 }
 
-// Memory is an in-process Store, safe for concurrent use.
+// Memory is an in-process Store, safe for concurrent use. Each owner's
+// versions are packed (see history) and entries are built on read: their
+// slices share the store's memory and must not be modified, and CreatedAt
+// comes back in UTC.
 type Memory struct {
 	mu     sync.RWMutex
-	owners map[string][]Entry // versions in ascending order
-	tokens map[string][]byte  // credential hash per owner
+	owners map[string]*history // never holds an empty history
+	tokens map[string][]byte   // credential hash per owner
 	now    func() time.Time
 }
 
 // NewMemory returns an empty in-memory keyring.
 func NewMemory() *Memory {
 	return &Memory{
-		owners: map[string][]Entry{},
+		owners: map[string]*history{},
 		tokens: map[string][]byte{},
 		now:    func() time.Time { return time.Now().UTC() },
 	}
@@ -166,7 +169,7 @@ func (m *Memory) createLocked(owner string, secret ppclust.OwnerSecret) (Entry, 
 	if err := ValidName(owner); err != nil {
 		return Entry{}, err
 	}
-	if len(m.owners[owner]) > 0 {
+	if m.owners[owner] != nil {
 		return Entry{}, fmt.Errorf("%w: %q", ErrExists, owner)
 	}
 	return m.append(owner, secret), nil
@@ -176,7 +179,7 @@ func (m *Memory) rotateLocked(owner string, secret ppclust.OwnerSecret) (Entry, 
 	if err := ValidName(owner); err != nil {
 		return Entry{}, err
 	}
-	if len(m.owners[owner]) == 0 {
+	if m.owners[owner] == nil {
 		return Entry{}, fmt.Errorf("%w: owner %q", ErrNotFound, owner)
 	}
 	return m.append(owner, secret), nil
@@ -191,28 +194,26 @@ func (m *Memory) putLocked(owner string, secret ppclust.OwnerSecret) (Entry, err
 
 // append adds the next version for owner; the caller holds mu.
 func (m *Memory) append(owner string, secret ppclust.OwnerSecret) Entry {
-	e := Entry{
-		Owner:     owner,
-		Version:   len(m.owners[owner]) + 1,
-		CreatedAt: m.now(),
-		Secret:    secret,
+	h := m.owners[owner]
+	if h == nil {
+		h = &history{}
+		m.owners[owner] = h
 	}
-	m.owners[owner] = append(m.owners[owner], e)
-	return e
+	return h.entry(owner, h.add(secret, m.now()))
 }
 
 // dropLastLocked removes version from the tail of owner's history — the
 // rollback hook for a failed persist. The caller holds mu.
 func (m *Memory) dropLastLocked(owner string, version int) {
-	vs := m.owners[owner]
-	if len(vs) == 0 || vs[len(vs)-1].Version != version {
+	h := m.owners[owner]
+	if h == nil || h.versions() != version {
 		return
 	}
-	if len(vs) == 1 {
+	if version == 1 {
 		delete(m.owners, owner)
 		return
 	}
-	m.owners[owner] = vs[:len(vs)-1]
+	h.truncate(version - 1)
 }
 
 // ClaimToken implements Store.
@@ -226,7 +227,7 @@ func (m *Memory) claimTokenLocked(owner string, hash []byte) error {
 	if err := ValidName(owner); err != nil {
 		return err
 	}
-	if len(m.owners[owner]) > 0 || m.tokens[owner] != nil {
+	if m.owners[owner] != nil || m.tokens[owner] != nil {
 		return fmt.Errorf("%w: %q", ErrExists, owner)
 	}
 	m.tokens[owner] = append([]byte(nil), hash...)
@@ -244,7 +245,7 @@ func (m *Memory) setTokenLocked(owner string, hash []byte) error {
 	if err := ValidName(owner); err != nil {
 		return err
 	}
-	if len(m.owners[owner]) == 0 {
+	if m.owners[owner] == nil {
 		return fmt.Errorf("%w: owner %q", ErrNotFound, owner)
 	}
 	m.tokens[owner] = append([]byte(nil), hash...)
@@ -266,25 +267,25 @@ func (m *Memory) TokenHash(owner string) ([]byte, error) {
 func (m *Memory) Get(owner string) (Entry, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	vs := m.owners[owner]
-	if len(vs) == 0 {
+	h := m.owners[owner]
+	if h == nil {
 		return Entry{}, fmt.Errorf("%w: owner %q", ErrNotFound, owner)
 	}
-	return vs[len(vs)-1], nil
+	return h.entry(owner, h.versions()), nil
 }
 
 // GetVersion implements Store.
 func (m *Memory) GetVersion(owner string, version int) (Entry, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	vs := m.owners[owner]
-	if len(vs) == 0 {
+	h := m.owners[owner]
+	if h == nil {
 		return Entry{}, fmt.Errorf("%w: owner %q", ErrNotFound, owner)
 	}
-	if version < 1 || version > len(vs) {
+	if version < 1 || version > h.versions() {
 		return Entry{}, fmt.Errorf("%w: owner %q version %d", ErrNotFound, owner, version)
 	}
-	return vs[version-1], nil
+	return h.entry(owner, version), nil
 }
 
 // List implements Store.
@@ -292,16 +293,14 @@ func (m *Memory) List() ([]Info, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	out := make([]Info, 0, len(m.owners))
-	for owner, vs := range m.owners {
-		if len(vs) == 0 {
-			continue
-		}
+	for owner, h := range m.owners {
+		n := h.versions()
 		out = append(out, Info{
 			Owner:     owner,
-			Versions:  len(vs),
-			Current:   vs[len(vs)-1].Version,
-			CreatedAt: vs[0].CreatedAt,
-			UpdatedAt: vs[len(vs)-1].CreatedAt,
+			Versions:  n,
+			Current:   n,
+			CreatedAt: h.createdAt(1),
+			UpdatedAt: h.createdAt(n),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Owner < out[j].Owner })

@@ -308,7 +308,9 @@ func TestFileTokenRollbackOnPersistFailure(t *testing.T) {
 	}
 	// Bypass persistence to get an owner in memory, then fail the token
 	// persist: the in-memory credential must be rolled back.
-	f.mem.owners["alice"] = []Entry{{Owner: "alice", Version: 1}}
+	if _, err := f.mem.Create("alice", testSecret(1)); err != nil {
+		t.Fatal(err)
+	}
 	if err := f.SetToken("alice", []byte{1}); err == nil {
 		t.Fatal("expected persist failure")
 	}

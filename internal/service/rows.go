@@ -43,10 +43,21 @@ func (s *SliceRows) Read() ([]float64, error) {
 	return row, nil
 }
 
+// frameSource is a RowSource that also hands over whole decoded frames,
+// as the binary codec's reader does.
+type frameSource interface {
+	ReadBatch() (*matrix.Dense, []int, error)
+}
+
 // ReadAll drains a RowSource into a dense matrix, accumulating directly
 // into the flat backing slice so the largest requests are held in memory
-// once, not twice.
+// once, not twice. A source of whole frames is read frame by frame: a
+// single frame becomes the matrix as decoded, and several are copied once
+// into a buffer of exactly their total size.
 func ReadAll(src RowSource) (*matrix.Dense, error) {
+	if fs, ok := src.(frameSource); ok {
+		return readFrames(fs)
+	}
 	var flat []float64
 	var cols, rows int
 	for {
@@ -67,6 +78,33 @@ func ReadAll(src RowSource) (*matrix.Dense, error) {
 		return nil, Invalid(fmt.Errorf("empty dataset"))
 	}
 	return matrix.NewDense(rows, cols, flat), nil
+}
+
+func readFrames(src frameSource) (*matrix.Dense, error) {
+	var frames []*matrix.Dense
+	rows := 0
+	for {
+		b, _, err := src.ReadBatch()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return nil, Invalid(err)
+		}
+		frames = append(frames, b)
+		rows += b.Rows()
+	}
+	switch len(frames) {
+	case 0:
+		return nil, Invalid(fmt.Errorf("empty dataset"))
+	case 1:
+		return frames[0], nil
+	}
+	flat := make([]float64, 0, rows*frames[0].Cols())
+	for _, b := range frames {
+		flat = append(flat, b.Raw()...)
+	}
+	return matrix.NewDense(rows, frames[0].Cols(), flat), nil
 }
 
 // ReadBatch reads up to limit rows. It returns (nil, io.EOF) on a clean
