@@ -105,7 +105,10 @@ func newRowWriter(format string, w io.Writer) rowWriter {
 	case formatBinary:
 		return &binaryWriter{bw: codec.NewWriter(w)}
 	}
-	return &csvWriter{cw: csv.NewWriter(w)}
+	// csv.NewWriter over a *bufio.Writer writes into that same buffer, so
+	// the header it quotes and the rows csvWriter appends stay in order.
+	bw := bufio.NewWriter(w)
+	return &csvWriter{bw: bw, cw: csv.NewWriter(bw)}
 }
 
 // binaryWriter adapts codec.Writer to the rowWriter contract.
@@ -187,33 +190,37 @@ func (n *ndjsonReader) Read() ([]float64, error) {
 	return nil, io.EOF
 }
 
+// csvWriter writes the header through encoding/csv, which quotes names
+// that need it, and formats each row straight into one reused line. A
+// number never needs quoting, so the bytes are the ones csv.Writer would
+// write for the FormatFloat(v, 'g', -1, 64) strings, without a string per
+// value.
 type csvWriter struct {
-	cw      *csv.Writer
-	scratch []string
+	bw   *bufio.Writer
+	cw   *csv.Writer
+	line []byte
 }
 
 func (c *csvWriter) WriteNames(names []string) error { return c.cw.Write(names) }
 
 func (c *csvWriter) WriteBatch(b *matrix.Dense) error {
-	if cap(c.scratch) < b.Cols() {
-		c.scratch = make([]string, b.Cols())
-	}
-	rec := c.scratch[:b.Cols()]
 	for i := 0; i < b.Rows(); i++ {
+		line := c.line[:0]
 		for j, v := range b.RawRow(i) {
-			rec[j] = strconv.FormatFloat(v, 'g', -1, 64)
+			if j > 0 {
+				line = append(line, ',')
+			}
+			line = strconv.AppendFloat(line, v, 'g', -1, 64)
 		}
-		if err := c.cw.Write(rec); err != nil {
+		c.line = append(line, '\n')
+		if _, err := c.bw.Write(c.line); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (c *csvWriter) Flush() error {
-	c.cw.Flush()
-	return c.cw.Error()
-}
+func (c *csvWriter) Flush() error { return c.bw.Flush() }
 
 // Close is a flush: CSV has no stream terminator.
 func (c *csvWriter) Close() error { return c.Flush() }

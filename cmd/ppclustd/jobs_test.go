@@ -450,7 +450,8 @@ func TestProtectJobAndClusterProtected(t *testing.T) {
 // reports `queued`; cancelling it works without touching the running two.
 func TestConcurrentOwnersAndQueuedThird(t *testing.T) {
 	ts, _ := newJobsServer(t)
-	// Big enough that the silhouette sweep takes real time per candidate.
+	// Big enough that the sweep takes real time per candidate: k-means's
+	// eight restarts per candidate dominate it.
 	_, tokA := uploadDataset(t, ts, "alice", "d", "", "", blobsCSV(t, 1400, 3, 1))
 	_, tokB := uploadDataset(t, ts, "bob", "d", "", "", blobsCSV(t, 1400, 3, 2))
 
@@ -487,6 +488,7 @@ func TestConcurrentOwnersAndQueuedThird(t *testing.T) {
 	// between the observation and this request, the cancel correctly
 	// answers 409 instead.)
 	resp, body := deleteReq(t, ts.URL+"/v1/jobs/"+jobC.ID+"?owner=alice", tokA)
+	t.Logf("cancel of the queued third job: %d", resp.StatusCode)
 	switch resp.StatusCode {
 	case http.StatusOK:
 		var cSt jobs.Status
@@ -528,6 +530,7 @@ func TestCancelRunningJobHTTP(t *testing.T) {
 		t.Fatalf("cancel running: %d: %s", resp.StatusCode, body)
 	}
 	final := waitJob(t, ts, "alice", tok, st.ID)
+	t.Logf("final state: %s", final.State)
 	if final.State != jobs.StateCancelled && final.State != jobs.StateDone {
 		t.Fatalf("after cancel: %s (%s)", final.State, final.Error)
 	}

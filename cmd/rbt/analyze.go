@@ -77,7 +77,7 @@ func cmdCluster(args []string) error {
 	}
 	fmt.Printf("%s: %d clusters, %d iterations, inertia %.4f\n", alg.Name(), res.K, res.Iterations, res.Inertia)
 	if res.K >= 2 {
-		if sil, err := quality.Silhouette(ds.Data, res.Assignments, nil); err == nil {
+		if sil, err := quality.Silhouette(ds.Data, res.Assignments); err == nil {
 			fmt.Printf("silhouette: %.4f\n", sil)
 		}
 	}

@@ -52,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sil, err := quality.Silhouette(protected.Released.Data, res.Assignments, nil)
+	sil, err := quality.Silhouette(protected.Released.Data, res.Assignments)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func SweepKBySilhouette(ctx context.Context, data *matrix.Dense, kmin, kmax int,
 		if err != nil {
 			return nil, nil, err
 		}
-		score, err := quality.Silhouette(data, res.Assignments, nil)
+		score, err := quality.Silhouette(data, res.Assignments)
 		if err != nil {
 			// A degenerate solution (k-means collapsed to one effective
 			// cluster) scores worst rather than aborting the sweep.

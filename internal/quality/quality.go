@@ -253,54 +253,106 @@ func NMI(a, b []int) (float64, error) {
 	return mi / denom, nil
 }
 
-// Silhouette returns the mean silhouette coefficient of the labeling over
-// the data under the metric (nil means Euclidean), in [-1, 1]. Noise points
-// (label -1) are excluded; singleton clusters contribute 0.
-func Silhouette(data *matrix.Dense, labels []int, metric dist.Metric) (float64, error) {
-	m := data.Rows()
+// Silhouette returns the mean Euclidean silhouette coefficient of the
+// labeling over the data, in [-1, 1]. Every negative label is noise and is
+// excluded; a point alone in its cluster contributes 0.
+//
+// The result is exact and builds no m×m distance matrix: it takes O(m²·d)
+// time and O(m·k) memory for k clusters. Rows are grouped by cluster, each
+// pair distance is computed once, and every (row, cluster) sum receives
+// its terms in ascending row order, so the value is bit-for-bit the one a
+// row-by-row pass over a distance matrix gives.
+func Silhouette(data *matrix.Dense, labels []int) (float64, error) {
+	m, d := data.Rows(), data.Cols()
 	if len(labels) != m {
 		return 0, fmt.Errorf("%w: %d labels for %d rows", ErrLabels, len(labels), m)
 	}
-	if metric == nil {
-		metric = dist.Euclidean{}
-	}
-	counts := map[int]int{}
-	for _, l := range labels {
-		if l >= 0 {
-			counts[l]++
-		}
-	}
-	if len(counts) < 2 {
-		return 0, fmt.Errorf("%w: silhouette needs at least 2 clusters", ErrLabels)
-	}
-	dm := dist.NewDissimMatrix(data, metric)
-	var sum float64
-	var n int
-	for i := 0; i < m; i++ {
-		li := labels[i]
-		if li < 0 {
+	// Dense cluster indices in first-seen order; -1 marks noise.
+	index := map[int]int{}
+	cl := make([]int, m)
+	var sizes []int
+	for i, l := range labels {
+		if l < 0 {
+			cl[i] = -1
 			continue
 		}
+		c, ok := index[l]
+		if !ok {
+			c = len(sizes)
+			index[l] = c
+			sizes = append(sizes, 0)
+		}
+		cl[i] = c
+		sizes[c]++
+	}
+	k := len(sizes)
+	if k < 2 {
+		return 0, fmt.Errorf("%w: silhouette needs at least 2 clusters", ErrLabels)
+	}
+
+	// Block c of g holds cluster c's rows in row order, at grouped
+	// positions start[c] to start[c+1]-1.
+	start := make([]int, k+1)
+	for c, n := range sizes {
+		start[c+1] = start[c] + n
+	}
+	next := make([]int, k)
+	copy(next, start)
+	g := make([]float64, start[k]*d)
+	for i, c := range cl {
+		if c >= 0 {
+			copy(g[next[c]*d:], data.RawRow(i))
+			next[c]++
+		}
+	}
+
+	// sums[p*k+c] totals the distances from grouped row p to the other
+	// rows of cluster c. Row p meets every earlier row q once: the
+	// distance goes to p's running total toward q's cluster and to q's
+	// total toward p's cluster. Both totals grow in ascending row order.
+	sums := make([]float64, start[k]*k)
+	for cp := 0; cp < k; cp++ {
+		for p := start[cp]; p < start[cp+1]; p++ {
+			rp := g[p*d : p*d+d]
+			for cq := 0; cq <= cp; cq++ {
+				end := start[cq+1]
+				if cq == cp {
+					end = p
+				}
+				var acc float64
+				for q := start[cq]; q < end; q++ {
+					pq := dist.Euclidean{}.Distance(rp, g[q*d:q*d+d])
+					acc += pq
+					sums[q*k+cp] += pq
+				}
+				sums[p*k+cq] = acc
+			}
+		}
+	}
+
+	// The mean runs in row order; a row's grouped position is the next
+	// free slot of its cluster's block.
+	copy(next, start)
+	var sum float64
+	var n int
+	for _, c := range cl {
+		if c < 0 {
+			continue
+		}
+		p := next[c]
+		next[c]++
 		n++
-		if counts[li] == 1 {
+		if sizes[c] == 1 {
 			continue // silhouette defined as 0 for singletons
 		}
-		intra := 0.0
-		inter := map[int]float64{}
-		for j := 0; j < m; j++ {
-			if j == i || labels[j] < 0 {
+		row := sums[p*k : p*k+k]
+		a := row[c] / float64(sizes[c]-1)
+		b := math.Inf(1)
+		for o, tot := range row {
+			if o == c {
 				continue
 			}
-			if labels[j] == li {
-				intra += dm.At(i, j)
-			} else {
-				inter[labels[j]] += dm.At(i, j)
-			}
-		}
-		a := intra / float64(counts[li]-1)
-		b := math.Inf(1)
-		for l, tot := range inter {
-			if avg := tot / float64(counts[l]); avg < b {
+			if avg := tot / float64(sizes[o]); avg < b {
 				b = avg
 			}
 		}
@@ -308,9 +360,6 @@ func Silhouette(data *matrix.Dense, labels []int, metric dist.Metric) (float64, 
 			continue
 		}
 		sum += (b - a) / math.Max(a, b)
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("%w: all points are noise", ErrLabels)
 	}
 	return sum / float64(n), nil
 }

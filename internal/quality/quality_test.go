@@ -2,8 +2,10 @@ package quality
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -240,7 +242,7 @@ func TestNMI(t *testing.T) {
 func TestSilhouette(t *testing.T) {
 	// Two tight, well-separated pairs: silhouette near 1.
 	data := matrix.FromRows([][]float64{{0}, {0.1}, {10}, {10.1}})
-	s, err := Silhouette(data, []int{0, 0, 1, 1}, nil)
+	s, err := Silhouette(data, []int{0, 0, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +250,7 @@ func TestSilhouette(t *testing.T) {
 		t.Fatalf("silhouette = %v, want near 1", s)
 	}
 	// Bad clustering: negative silhouette.
-	sBad, err := Silhouette(data, []int{0, 1, 0, 1}, dist.Euclidean{})
+	sBad, err := Silhouette(data, []int{0, 1, 0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,25 +261,172 @@ func TestSilhouette(t *testing.T) {
 
 func TestSilhouetteErrors(t *testing.T) {
 	data := matrix.FromRows([][]float64{{0}, {1}})
-	if _, err := Silhouette(data, []int{0}, nil); !errors.Is(err, ErrLabels) {
+	if _, err := Silhouette(data, []int{0}); !errors.Is(err, ErrLabels) {
 		t.Fatal("length mismatch should fail")
 	}
-	if _, err := Silhouette(data, []int{0, 0}, nil); !errors.Is(err, ErrLabels) {
+	if _, err := Silhouette(data, []int{0, 0}); !errors.Is(err, ErrLabels) {
 		t.Fatal("single cluster should fail")
 	}
-	if _, err := Silhouette(data, []int{-1, -1}, nil); !errors.Is(err, ErrLabels) {
+	if _, err := Silhouette(data, []int{-1, -1}); !errors.Is(err, ErrLabels) {
 		t.Fatal("all-noise should fail")
 	}
 }
 
 func TestSilhouetteExcludesNoise(t *testing.T) {
 	data := matrix.FromRows([][]float64{{0}, {0.1}, {10}, {10.1}, {500}})
-	withNoise, err := Silhouette(data, []int{0, 0, 1, 1, -1}, nil)
+	withNoise, err := Silhouette(data, []int{0, 0, 1, 1, -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if withNoise < 0.95 {
 		t.Fatalf("noise should be excluded, silhouette = %v", withNoise)
+	}
+}
+
+// silhouetteReference is the row-by-row silhouette over a condensed
+// Euclidean distance matrix, the oracle Silhouette must match bit for bit.
+func silhouetteReference(data *matrix.Dense, labels []int) (float64, error) {
+	m := data.Rows()
+	if len(labels) != m {
+		return 0, fmt.Errorf("%w: %d labels for %d rows", ErrLabels, len(labels), m)
+	}
+	counts := map[int]int{}
+	for _, l := range labels {
+		if l >= 0 {
+			counts[l]++
+		}
+	}
+	if len(counts) < 2 {
+		return 0, fmt.Errorf("%w: silhouette needs at least 2 clusters", ErrLabels)
+	}
+	dm := dist.NewDissimMatrix(data, dist.Euclidean{})
+	var sum float64
+	var n int
+	for i := 0; i < m; i++ {
+		li := labels[i]
+		if li < 0 {
+			continue
+		}
+		n++
+		if counts[li] == 1 {
+			continue
+		}
+		intra := 0.0
+		inter := map[int]float64{}
+		for j := 0; j < m; j++ {
+			if j == i || labels[j] < 0 {
+				continue
+			}
+			if labels[j] == li {
+				intra += dm.At(i, j)
+			} else {
+				inter[labels[j]] += dm.At(i, j)
+			}
+		}
+		a := intra / float64(counts[li]-1)
+		b := math.Inf(1)
+		for l, tot := range inter {
+			if avg := tot / float64(counts[l]); avg < b {
+				b = avg
+			}
+		}
+		if math.IsInf(b, 1) {
+			continue
+		}
+		sum += (b - a) / math.Max(a, b)
+	}
+	if n == 0 {
+		return 0, fmt.Errorf("%w: all points are noise", ErrLabels)
+	}
+	return sum / float64(n), nil
+}
+
+// Property: Silhouette equals the matrix oracle to the bit, and fails with
+// the same error, on random shapes, magnitudes and labelings — noise
+// labels other than -1, sparse label values, singletons and duplicated
+// rows included.
+func TestSilhouetteMatchesReference(t *testing.T) {
+	clusterIDs := []int{0, 1, 2, 5, 42, 917}
+	noiseIDs := []int{-1, -2, -5, -917}
+	for seed := int64(1); seed <= 3000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m, d := 2+rng.Intn(59), 1+rng.Intn(6)
+		data := matrix.NewDense(m, d, nil)
+		for i := 0; i < m; i++ {
+			for j := 0; j < d; j++ {
+				v := math.Pow(10, -3+6*rng.Float64())
+				if rng.Intn(2) == 0 {
+					v = -v
+				}
+				data.SetAt(i, j, v)
+			}
+			if i > 0 && rng.Intn(20) == 0 {
+				copy(data.RawRow(i), data.RawRow(rng.Intn(i)))
+			}
+		}
+		ids := clusterIDs[:1+rng.Intn(len(clusterIDs))]
+		noise := rng.Float64() * 0.3
+		labels := make([]int, m)
+		for i := range labels {
+			if rng.Float64() < noise {
+				labels[i] = noiseIDs[rng.Intn(len(noiseIDs))]
+			} else {
+				labels[i] = ids[rng.Intn(len(ids))]
+			}
+		}
+		if rng.Intn(4) == 0 {
+			labels[rng.Intn(m)] = 7777 // a singleton cluster
+		}
+		got, gotErr := Silhouette(data, labels)
+		want, wantErr := silhouetteReference(data, labels)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("seed %d: error %v, reference %v", seed, gotErr, wantErr)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("seed %d (%d×%d, labels %v): silhouette %v (%#x), reference %v (%#x)",
+				seed, m, d, labels, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
+// silhouetteFixture draws m points in d dimensions around k separated
+// centres, labelled by centre.
+func silhouetteFixture(m, d, k int) (*matrix.Dense, []int) {
+	rng := rand.New(rand.NewSource(11))
+	data := matrix.NewDense(m, d, nil)
+	labels := make([]int, m)
+	for i := range labels {
+		labels[i] = i % k
+		for j := 0; j < d; j++ {
+			data.SetAt(i, j, 10*float64(labels[i])+rng.NormFloat64())
+		}
+	}
+	return data, labels
+}
+
+// Silhouette keeps O(m·k) memory: at 4000×5 the condensed distance matrix
+// alone would be 64 MB.
+func TestSilhouetteMemory(t *testing.T) {
+	data, labels := silhouetteFixture(4000, 5, 3)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := Silhouette(data, labels); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("silhouette at 4000×5, k=3 allocated %d bytes, want < 1 MB", got)
+	}
+}
+
+func BenchmarkSilhouette(b *testing.B) {
+	data, labels := silhouetteFixture(2000, 5, 3)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Silhouette(data, labels); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

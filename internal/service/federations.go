@@ -510,7 +510,7 @@ func (f *FederationService) runFederatedCluster(ctx context.Context, t *jobs.Tas
 		Iterations:  res.Iterations,
 		Converged:   res.Converged,
 	}
-	if sil, err := quality.Silhouette(joint, res.Assignments, nil); err == nil {
+	if sil, err := quality.Silhouette(joint, res.Assignments); err == nil {
 		out.Silhouette = &sil
 	}
 	return out, nil

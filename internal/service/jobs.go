@@ -434,7 +434,7 @@ func (j *JobService) runCluster(ctx context.Context, t *jobs.Task) (any, error) 
 	outcome.Inertia = res.Inertia
 	outcome.Iterations = res.Iterations
 	outcome.Converged = res.Converged
-	if sil, err := quality.Silhouette(data, res.Assignments, nil); err == nil {
+	if sil, err := quality.Silhouette(data, res.Assignments); err == nil {
 		outcome.Silhouette = &sil
 	}
 	return outcome, nil
