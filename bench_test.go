@@ -397,12 +397,9 @@ func BenchmarkMultipartyJoin(b *testing.B) {
 
 // BenchmarkEngineProtectParallel measures the ppclustd serving engine on a
 // 100k x 16 workload: the serial facade path first, then the worker-pool
-// engine at 1/2/4/8 workers on both storage layouts — the row-major
-// kernels ("rows") and the default cache-blocked columnar kernels
-// ("workers=N"), which produce bit-identical releases. The arena variant
-// reuses caller-owned buffers across iterations (steady-state protect,
-// near-zero allocation) and the float32 variant runs the opt-in
-// reduced-precision kernel.
+// engine's cache-blocked columnar kernel at 1/2/4/8 workers
+// ("workers=N"). The arena variant reuses caller-owned buffers across
+// iterations (steady-state protect, near-zero allocation).
 func BenchmarkEngineProtectParallel(b *testing.B) {
 	const m, n = 100_000, 16
 	data := matrix.RandomDense(m, n, rand.New(rand.NewSource(40)))
@@ -436,33 +433,10 @@ func BenchmarkEngineProtectParallel(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("rows/workers=%d", w), func(b *testing.B) {
-			eng := engine.New(w, 0)
-			opts := eopts
-			opts.Layout = engine.LayoutRows
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Protect(data, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 	b.Run("arena/workers=8", func(b *testing.B) {
 		eng := engine.New(8, 0)
 		opts := eopts
-		opts.Arena = &engine.Arena{}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Protect(data, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("float32/workers=8", func(b *testing.B) {
-		eng := engine.New(8, 0)
-		opts := eopts
-		opts.Precision = engine.PrecisionFloat32
 		opts.Arena = &engine.Arena{}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

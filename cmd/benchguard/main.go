@@ -1,7 +1,7 @@
 // Command benchguard is the CI regression gate over benchjson artifacts.
 // It compares speedup ratios — not absolute ns/op — between a committed
 // baseline document and the current run, so the gate holds on any runner
-// speed: a ratio like rows-path / columnar-path time is a property of the
+// speed: a ratio like CSV-path / binary-path time is a property of the
 // code, while raw nanoseconds are a property of the machine.
 //
 // Usage:
@@ -9,14 +9,12 @@
 //	benchguard -baseline bench/BENCH_ppspeed_baseline.json \
 //	           -current BENCH_ppspeed.json \
 //	           -tolerance 0.15 \
-//	           -ratio 'BenchmarkEngineProtectParallel/rows/workers=4:BenchmarkEngineProtectParallel/workers=4' \
 //	           -ratio 'BenchmarkWireIngestProtect/csv:BenchmarkWireIngestProtect/binary'
 //
 // Each -ratio names slow:fast benchmarks; the guarded quantity is
 // slowNs/fastNs (how many times faster the fast path is). The gate fails
 // when the current ratio falls more than -tolerance below the baseline's
-// — e.g. the columnar kernels or the binary wire path losing >15% of
-// their measured advantage.
+// — e.g. the binary wire path losing >15% of its measured advantage.
 package main
 
 import (

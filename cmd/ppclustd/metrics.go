@@ -4,8 +4,9 @@ package main
 //
 //	GET /v1/metrics  flat JSON snapshot (counters, gauges, spliced
 //	                 histogram series) — the embedded/SDK surface
-//	GET /metrics     Prometheus text format (proper # TYPE lines,
-//	                 numeric bucket order, +Inf last) — the scrape surface
+//	GET /metrics     the same snapshot in Prometheus text format (proper
+//	                 # TYPE lines, numeric bucket order, +Inf last) — the
+//	                 scrape surface
 //
 // Like /healthz and /v1/keys both expose aggregate metadata only, never
 // data or key material, so they are unauthenticated. The snapshot body
@@ -140,26 +141,16 @@ func (s *statusRecorder) Flush() {
 
 func (s *statusRecorder) Unwrap() http.ResponseWriter { return s.ResponseWriter }
 
-// gauges collects the derived gauges (service + ring) shared by both
-// exposition formats.
-func (s *server) gauges() map[string]int64 {
-	g := s.svc.Gauges()
-	if s.ring != nil {
-		s.ring.addGauges(g)
-	}
-	return g
-}
-
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.localSnapshot())
 }
 
-// handlePromMetrics serves the Prometheus text exposition format:
-// counters and histograms straight from the registry with proper # TYPE
-// lines and numerically ordered buckets, plus the live derived gauges.
+// handlePromMetrics serves the /v1/metrics snapshot in the Prometheus
+// text exposition format, through the same renderer as the cluster
+// aggregate's ?format=prometheus.
 func (s *server) handlePromMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", obs.PromContentType)
-	if err := obs.WritePromText(w, s.svc.Registry(), s.gauges()); err != nil {
+	if err := obs.WritePromFlat(w, s.localSnapshot()); err != nil {
 		s.logger.Warn("metrics exposition", "err", err.Error())
 	}
 }

@@ -335,6 +335,25 @@ func TestSLOEndpoint(t *testing.T) {
 	}
 }
 
+// TestSLOEndpointOverflowQuantile: a latency past the top SLO bucket
+// (10 s) reports observed_ms at that bound. An unbounded estimate would
+// be +Inf, which encoding/json refuses after the 200 has gone out,
+// leaving an empty body.
+func TestSLOEndpointOverflowQuantile(t *testing.T) {
+	ts, s := newTestServer(t)
+	if err := s.setupScope(scopeConfig{SLOSpecs: []string{"protect:p99<100ms"}}); err != nil {
+		t.Fatal(err)
+	}
+	s.slo.Observe("POST /v1/protect", 20000, false)
+	var report sloReport
+	if code := scopeGet(t, ts.URL+"/v1/slo", &report); code != http.StatusOK {
+		t.Fatalf("slo endpoint answered %d", code)
+	}
+	if len(report.Objectives) != 1 || report.Objectives[0].ObservedMs != 10000 {
+		t.Fatalf("report = %+v, want one objective observing 10000 ms", report)
+	}
+}
+
 // TestSLOEndpointDisabled: without -slo the report is a benign
 // enabled:false, not an error.
 func TestSLOEndpointDisabled(t *testing.T) {

@@ -9,54 +9,94 @@ import (
 
 	"ppclust/internal/core"
 	"ppclust/internal/matrix"
+	"ppclust/internal/norm"
+	"ppclust/internal/stats"
 )
 
-// protectBoth runs the same options through the row and columnar layouts
-// with a fixed seed and returns both results.
-func protectBoth(t *testing.T, e *Engine, data *matrix.Dense, opts ProtectOptions) (rows, cols *ProtectResult) {
+// oracleNormalize is the reference Step 1 for an oracle comparison:
+// internal/norm's fit-and-apply for zscore and minmax, the input itself for
+// NormNone.
+func oracleNormalize(t *testing.T, data *matrix.Dense, method string) *matrix.Dense {
 	t.Helper()
-	opts.Layout = LayoutRows
-	rows, err := e.Protect(data, opts)
-	if err != nil {
-		t.Fatalf("rows layout: %v", err)
+	var n norm.Normalizer
+	switch method {
+	case NormZScore:
+		n = &norm.ZScore{Denominator: stats.Sample}
+	case NormMinMax:
+		n = &norm.MinMax{}
+	default:
+		return data
 	}
-	opts.Layout = LayoutColumnar
-	cols, err = e.Protect(data, opts)
+	out, err := norm.FitTransform(n, data)
 	if err != nil {
-		t.Fatalf("columnar layout: %v", err)
+		t.Fatal(err)
 	}
-	return rows, cols
+	return out
 }
 
-// TestColumnarMatchesRows locks in the tentpole invariant: the float64
-// columnar kernel is bit-for-bit identical to the row kernel for every
-// normalization, for even (disjoint round-robin schedule, fused sums) and
-// odd (overlapping schedule, per-pair sums) column counts, and for any
-// worker count.
+// engineNormalized applies a result's own fitted Step 1 parameters to
+// data: the input the kernel actually rotated.
+func engineNormalized(data *matrix.Dense, res *ProtectResult) *matrix.Dense {
+	out := data.Clone()
+	s := res.Secret()
+	for r := 0; r < out.Rows(); r++ {
+		s.NormalizeRow(out.RawRow(r))
+	}
+	return out
+}
+
+// TestColumnarMatchesRows locks the kernel to the row-major reference,
+// core.Transform, for every normalization, for even (disjoint round-robin
+// schedule, fused sums) and odd (overlapping schedule, per-pair sums)
+// column counts, and for any worker count:
+//
+//   - with one row block the blocked reductions run in core's serial
+//     order, so release and key equal core.Transform of the
+//     internal/norm-normalized input bit for bit;
+//   - with the default block size (three blocks here) the rotation is
+//     still core's bit for bit given the engine's normalization and
+//     angles, and the angles stay within 1e-9° of core's own draw.
 func TestColumnarMatchesRows(t *testing.T) {
+	const m = 20011
+	pst := []core.PST{{Rho1: 1e-9, Rho2: 1e-9}}
 	for _, n := range []int{4, 7, 16} {
-		data := randData(20011, n, int64(100+n))
+		data := randData(m, n, int64(100+n))
 		for _, method := range []string{NormZScore, NormMinMax, NormNone} {
+			want, err := core.Transform(oracleNormalize(t, data, method), core.Options{
+				Thresholds: pst,
+				Rand:       rand.New(rand.NewSource(4242)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := ProtectOptions{Normalization: method, Thresholds: pst, Seed: 4242}
 			for _, w := range []int{1, 2, 3, 8} {
-				e := New(w, 0)
-				opts := ProtectOptions{
-					Normalization: method,
-					Thresholds:    []core.PST{{Rho1: 1e-9, Rho2: 1e-9}},
-					Seed:          4242,
+				name := fmt.Sprintf("n=%d %s w=%d", n, method, w)
+				one, err := New(w, m).Protect(data, opts)
+				if err != nil {
+					t.Fatal(err)
 				}
-				rows, cols := protectBoth(t, e, data, opts)
-				if !matrix.Equal(rows.Released, cols.Released) {
-					t.Fatalf("n=%d %s w=%d: columnar release differs from row release", n, method, w)
+				if !bitsEqual(one.Released.Raw(), want.DPrime.Raw()) || !bitsEqual(one.Key.AnglesDeg, want.Key.AnglesDeg) {
+					t.Fatalf("%s, one block: release or key differs from core.Transform", name)
 				}
-				for k := range rows.Key.AnglesDeg {
-					if rows.Key.AnglesDeg[k] != cols.Key.AnglesDeg[k] {
-						t.Fatalf("n=%d %s w=%d: angle %d differs: %v vs %v",
-							n, method, w, k, rows.Key.AnglesDeg[k], cols.Key.AnglesDeg[k])
-					}
+
+				blocked, err := New(w, 0).Protect(data, opts)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for j := range rows.ParamsA {
-					if rows.ParamsA[j] != cols.ParamsA[j] || rows.ParamsB[j] != cols.ParamsB[j] {
-						t.Fatalf("n=%d %s w=%d: normalization params differ at column %d", n, method, w, j)
+				rot, err := core.Transform(engineNormalized(data, blocked), core.Options{
+					Thresholds:  pst,
+					FixedAngles: blocked.Key.AnglesDeg,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bitsEqual(blocked.Released.Raw(), rot.DPrime.Raw()) {
+					t.Fatalf("%s, default blocks: release differs from core's rotation by the same angles", name)
+				}
+				for k, a := range blocked.Key.AnglesDeg {
+					if math.Abs(a-want.Key.AnglesDeg[k]) > 1e-9 {
+						t.Fatalf("%s, default blocks: angle %d = %v, core drew %v", name, k, a, want.Key.AnglesDeg[k])
 					}
 				}
 			}
@@ -65,7 +105,7 @@ func TestColumnarMatchesRows(t *testing.T) {
 }
 
 // TestColumnarFixedAngles covers the fixed-angle branch (no RNG use) and
-// an explicit overlapping pair schedule on the columnar path.
+// an explicit overlapping pair schedule against core.Transform.
 func TestColumnarFixedAngles(t *testing.T) {
 	data := randData(5003, 4, 9)
 	opts := ProtectOptions{
@@ -74,10 +114,20 @@ func TestColumnarFixedAngles(t *testing.T) {
 		Thresholds:    []core.PST{{Rho1: 1e-9, Rho2: 1e-9}},
 		FixedAngles:   []float64{33, 120, 261},
 	}
-	e := New(4, 0)
-	rows, cols := protectBoth(t, e, data, opts)
-	if !matrix.Equal(rows.Released, cols.Released) {
-		t.Fatal("fixed-angle columnar release differs from row release")
+	got, err := New(4, 0).Protect(data, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Transform(oracleNormalize(t, data, NormZScore), core.Options{
+		Pairs:       opts.Pairs,
+		Thresholds:  opts.Thresholds,
+		FixedAngles: opts.FixedAngles,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitsEqual(got.Released.Raw(), want.DPrime.Raw()) {
+		t.Fatal("fixed-angle release differs from core.Transform")
 	}
 }
 
@@ -109,45 +159,36 @@ func TestColumnarArenaReuse(t *testing.T) {
 
 // TestReleaseIntoOwnInput: an arena over the input's own buffer releases in
 // place, and the release, key and parameters are bit-identical to an
-// arena-free Protect for every layout, precision and normalization, over
-// several row blocks and workers, with an even (fused sums) and an odd
-// (overlapping schedule) column count.
+// arena-free Protect for every normalization, over several row blocks and
+// workers, with an even (fused sums) and an odd (overlapping schedule)
+// column count.
 func TestReleaseIntoOwnInput(t *testing.T) {
-	kernels := []struct{ layout, precision string }{
-		{LayoutRows, PrecisionFloat64},
-		{LayoutColumnar, PrecisionFloat64},
-		{LayoutColumnar, PrecisionFloat32},
-	}
 	for _, n := range []int{6, 7} {
 		data := randData(3001, n, int64(50+n))
-		for _, k := range kernels {
-			for _, method := range []string{NormZScore, NormMinMax, NormNone} {
-				e := New(3, 512)
-				opts := ProtectOptions{
-					Normalization: method,
-					Thresholds:    []core.PST{{Rho1: 1e-9, Rho2: 1e-9}},
-					Seed:          77,
-					Layout:        k.layout,
-					Precision:     k.precision,
-				}
-				want, err := e.Protect(data, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				in := data.Clone()
-				opts.Arena = ReleaseInto(in.Raw())
-				got, err := e.Protect(in, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				name := fmt.Sprintf("n=%d %s/%s %s", n, k.layout, k.precision, method)
-				if &got.Released.Raw()[0] != &in.Raw()[0] {
-					t.Fatalf("%s: release is not in the input's buffer", name)
-				}
-				if !bitsEqual(want.Released.Raw(), got.Released.Raw()) || !bitsEqual(want.Key.AnglesDeg, got.Key.AnglesDeg) ||
-					!bitsEqual(want.ParamsA, got.ParamsA) || !bitsEqual(want.ParamsB, got.ParamsB) {
-					t.Fatalf("%s: in-place protect differs from a fresh release", name)
-				}
+		for _, method := range []string{NormZScore, NormMinMax, NormNone} {
+			e := New(3, 512)
+			opts := ProtectOptions{
+				Normalization: method,
+				Thresholds:    []core.PST{{Rho1: 1e-9, Rho2: 1e-9}},
+				Seed:          77,
+			}
+			want, err := e.Protect(data, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := data.Clone()
+			opts.Arena = ReleaseInto(in.Raw())
+			got, err := e.Protect(in, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("n=%d %s", n, method)
+			if &got.Released.Raw()[0] != &in.Raw()[0] {
+				t.Fatalf("%s: release is not in the input's buffer", name)
+			}
+			if !bitsEqual(want.Released.Raw(), got.Released.Raw()) || !bitsEqual(want.Key.AnglesDeg, got.Key.AnglesDeg) ||
+				!bitsEqual(want.ParamsA, got.ParamsA) || !bitsEqual(want.ParamsB, got.ParamsB) {
+				t.Fatalf("%s: in-place protect differs from a fresh release", name)
 			}
 		}
 	}
@@ -208,92 +249,8 @@ func TestColumnarAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestFloat32RecoverError measures the float32 kernel's approximation: the
-// release must recover the original to within a small relative error (the
-// documented bound), and the float64 path must stay bit-exact.
-func TestFloat32RecoverError(t *testing.T) {
-	data := randData(20000, 8, 55)
-	e := New(4, 0)
-	opts := ProtectOptions{
-		Thresholds: []core.PST{{Rho1: 1e-9, Rho2: 1e-9}},
-		Seed:       99,
-		Precision:  PrecisionFloat32,
-	}
-	res, err := e.Protect(data, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := e.Recover(res.Released, res.Secret())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Scale-relative bound: normalized values are O(1) with float32
-	// rounding ~6e-8 amplified through one rotation and the denormalize
-	// multiply; 1e-4 relative to the column scale is comfortably above
-	// the measured ~1e-6 worst case and far below any analytic use.
-	var worst float64
-	for j := 0; j < data.Cols(); j++ {
-		scale := res.ParamsB[j]
-		for i := 0; i < data.Rows(); i++ {
-			relErr := math.Abs(rec.At(i, j)-data.At(i, j)) / scale
-			if relErr > worst {
-				worst = relErr
-			}
-		}
-	}
-	t.Logf("float32 recover: worst scale-relative error %.3g", worst)
-	if worst > 1e-4 {
-		t.Fatalf("float32 recover error %.3g exceeds documented 1e-4 bound", worst)
-	}
-	// float64 mode stays bit-exact on the same inputs modulo denormalize
-	// rounding (the pre-existing round-trip tolerance).
-	opts.Precision = PrecisionFloat64
-	res64, err := e.Protect(data, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec64, err := e.Recover(res64.Released, res64.Secret())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.EqualApprox(rec64, data, 1e-9) {
-		t.Fatal("float64 columnar round trip drifted")
-	}
-}
-
-// TestFloat32StillPSTChecked makes sure the approximate kernel still
-// enforces variance thresholds against the float32 curve.
-func TestFloat32StillPSTChecked(t *testing.T) {
-	data := randData(512, 4, 3)
-	_, err := New(2, 0).Protect(data, ProtectOptions{
-		Thresholds:  []core.PST{{Rho1: 1e-9, Rho2: 1e-9}},
-		FixedAngles: []float64{0, 0}, // θ=0 preserves variances: PST violated
-		Precision:   PrecisionFloat32,
-	})
-	if err == nil {
-		t.Fatal("float32 kernel accepted a PST-violating fixed angle")
-	}
-}
-
-// TestLayoutValidation rejects unknown layout/precision combinations.
-func TestLayoutValidation(t *testing.T) {
-	data := randData(64, 4, 1)
-	base := ProtectOptions{Thresholds: []core.PST{{Rho1: 1e-9, Rho2: 1e-9}}, Seed: 1}
-	bad := []ProtectOptions{
-		{Layout: "diagonal"},
-		{Precision: "float16"},
-		{Layout: LayoutRows, Precision: PrecisionFloat32},
-	}
-	for i, o := range bad {
-		o.Thresholds, o.Seed = base.Thresholds, base.Seed
-		if _, err := New(1, 0).Protect(data, o); err == nil {
-			t.Fatalf("case %d: bad layout/precision accepted", i)
-		}
-	}
-}
-
-// TestColumnarNaNRejected mirrors the row path's NaN handling for
-// NormNone, where the check happens inside the gather.
+// TestColumnarNaNRejected: under NormNone the finiteness check happens
+// inside the gather.
 func TestColumnarNaNRejected(t *testing.T) {
 	data := randData(1000, 4, 2)
 	data.SetAt(517, 2, math.NaN())
@@ -307,36 +264,28 @@ func TestColumnarNaNRejected(t *testing.T) {
 	}
 }
 
-// TestColumnarSharedRand runs both layouts off one shared *rand.Rand to
-// prove they consume the stream identically (interleaving two sequences
-// would desynchronize the second call).
+// TestColumnarSharedRand runs two protects off one shared *rand.Rand, and
+// core.Transform twice off another seeded alike, to prove the kernel
+// consumes the stream exactly as core does (a different draw count would
+// desynchronize the second call).
 func TestColumnarSharedRand(t *testing.T) {
 	data := randData(4096, 6, 77)
+	pst := []core.PST{{Rho1: 1e-9, Rho2: 1e-9}}
 	e := New(3, 0)
-	opts := ProtectOptions{Thresholds: []core.PST{{Rho1: 1e-9, Rho2: 1e-9}}}
-
-	opts.Rand = rand.New(rand.NewSource(5))
-	opts.Layout = LayoutRows
-	a1, err := e.Protect(data, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := e.Protect(data, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opts.Rand = rand.New(rand.NewSource(5))
-	opts.Layout = LayoutColumnar
-	b1, err := e.Protect(data, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := e.Protect(data, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matrix.Equal(a1.Released, b1.Released) || !matrix.Equal(a2.Released, b2.Released) {
-		t.Fatal("shared-rand sequences diverge between layouts")
+	opts := ProtectOptions{Thresholds: pst, Rand: rand.New(rand.NewSource(5))}
+	normed := oracleNormalize(t, data, NormZScore)
+	ref := core.Options{Thresholds: pst, Rand: rand.New(rand.NewSource(5))}
+	for call := 1; call <= 2; call++ {
+		got, err := e.Protect(data, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.Transform(normed, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitsEqual(got.Released.Raw(), want.DPrime.Raw()) {
+			t.Fatalf("call %d: shared-rand release diverges from core.Transform", call)
+		}
 	}
 }

@@ -104,22 +104,18 @@ func TestMatchesCoreRandomAngles(t *testing.T) {
 	}
 }
 
-// TestZScorePipelineMatchesNorm compares the engine's fused normalize pass
-// against the reference internal/norm implementation.
+// TestZScorePipelineMatchesNorm compares the z-score parameters Protect
+// fits with blocked reductions against the reference internal/norm
+// implementation.
 func TestZScorePipelineMatchesNorm(t *testing.T) {
 	data := randData(4000, 5, 4)
-	res := &ProtectResult{}
-	got := matrix.NewDense(data.Rows(), data.Cols(), nil)
-	if err := New(4, 777).normalize(data, got, NormZScore, res); err != nil {
-		t.Fatal(err)
-	}
-	z := &norm.ZScore{Denominator: stats.Sample}
-	want, err := norm.FitTransform(z, data)
+	res, err := New(4, 777).Protect(data, ProtectOptions{Thresholds: tinyPST(), Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matrix.EqualApprox(got, want, 1e-12) {
-		t.Fatal("fused z-score pass disagrees with internal/norm")
+	z := &norm.ZScore{Denominator: stats.Sample}
+	if err := z.Fit(data); err != nil {
+		t.Fatal(err)
 	}
 	means, stds := z.Params()
 	for j := range means {
@@ -210,6 +206,10 @@ func TestProtectValidation(t *testing.T) {
 	}
 	if _, err := eng.Protect(data, ProtectOptions{Thresholds: tinyPST(), FixedAngles: []float64{1}}); err == nil {
 		t.Fatal("expected error for wrong fixed angle count")
+	}
+	// θ = 0 leaves every attribute where it was: Var(A−A') = 0 < ρ.
+	if _, err := eng.Protect(data, ProtectOptions{Thresholds: tinyPST(), FixedAngles: []float64{0, 0}}); !errors.Is(err, core.ErrEmptySecurityRange) {
+		t.Fatalf("expected ErrEmptySecurityRange for a PST-violating fixed angle, got %v", err)
 	}
 	nan := data.Clone()
 	nan.SetAt(3, 2, math.NaN())

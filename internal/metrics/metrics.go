@@ -168,63 +168,6 @@ type BucketCount struct {
 	Count      int64
 }
 
-// HistogramView is a typed snapshot of one histogram for exposition
-// formats that need structure the flat Snapshot map can't carry: buckets
-// are in ascending numeric bound order with +Inf last (string-keyed maps
-// sort "10" before "5", which is not valid Prometheus bucket order), and
-// Sum keeps its float64 precision.
-type HistogramView struct {
-	Name   string // registered name, possibly with {labels}
-	Base   string // name with labels stripped
-	Labels string // label body without braces, "" if none
-	Bucket []BucketCount
-	Count  int64
-	Sum    float64
-}
-
-// CounterViews returns every counter's current value keyed by registered
-// name.
-func (r *Registry) CounterViews() map[string]int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		out[name] = c.Value()
-	}
-	return out
-}
-
-// HistogramViews returns a typed snapshot of every histogram, sorted by
-// registered name for deterministic output.
-func (r *Registry) HistogramViews() []HistogramView {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]HistogramView, 0, len(r.histograms))
-	for name, h := range r.histograms {
-		base, labels := splitLabels(name)
-		v := HistogramView{
-			Name:   name,
-			Base:   base,
-			Labels: labels,
-			Bucket: make([]BucketCount, 0, len(h.counts)),
-			Count:  h.Count(),
-			Sum:    h.Sum(),
-		}
-		var cum int64
-		for i := range h.counts {
-			cum += h.counts[i].Load()
-			bound := math.Inf(1)
-			if i < len(h.bounds) {
-				bound = h.bounds[i]
-			}
-			v.Bucket = append(v.Bucket, BucketCount{UpperBound: bound, Count: cum})
-		}
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // splitLabels separates `base{labels}` into its parts; labels is empty
 // for a bare name.
 func splitLabels(name string) (base, labels string) {

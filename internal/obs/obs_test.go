@@ -111,9 +111,10 @@ func TestLogAttrsAndLogger(t *testing.T) {
 	}
 }
 
-// TestPromTextFormat is the conformance test for the renderer itself:
-// TYPE lines precede samples, buckets are in numeric order (a lexical
-// sort would put 10 before 5), and +Inf is last.
+// TestPromTextFormat is the conformance test for the renderer on a
+// node's own snapshot (registry series plus derived gauges, as /metrics
+// serves it): TYPE lines precede samples, buckets are in numeric order (a
+// lexical sort would put 10 before 5), and +Inf is last.
 func TestPromTextFormat(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Counter(`http_requests_total{route="GET /x",status="200"}`).Add(3)
@@ -123,10 +124,12 @@ func TestPromTextFormat(t *testing.T) {
 	h := reg.Histogram(`d_us{route="GET /x"}`, []float64{5, 10, 25, 100})
 	h.Observe(7)
 	h.Observe(2000)
-	gauges := map[string]int64{"jobs_queue_depth": 4, `federation_parties{fed="ab"}`: 2}
+	snap := reg.Snapshot()
+	snap["jobs_queue_depth"] = 4
+	snap[`federation_parties{fed="ab"}`] = 2
 
 	var buf bytes.Buffer
-	if err := WritePromText(&buf, reg, gauges); err != nil {
+	if err := WritePromFlat(&buf, snap); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -151,7 +154,7 @@ func TestPromTextFormat(t *testing.T) {
 			t.Fatalf("malformed sample line %q", line)
 		}
 		name := line[:sp]
-		base, _ := SplitMetricName(name)
+		base, _ := metrics.SplitName(name)
 		fam := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(base, "_bucket"), "_sum"), "_count")
 		if _, ok := seenType[fam]; !ok {
 			t.Fatalf("sample %q before its # TYPE line\n%s", line, out)

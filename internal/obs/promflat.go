@@ -11,14 +11,19 @@ import (
 	"ppclust/internal/metrics"
 )
 
-// WritePromFlat renders a flat name → int64 map (such as the merged
-// cluster snapshot from metrics.MergeSnapshots) as Prometheus text
-// format. Unlike WritePromText it has no live registry to consult, so
-// histogram families are reconstructed from the flat keys: `*_bucket`
-// series with an `le` label are regrouped per label set, ordered by
-// numeric bound with `+Inf` last, and reunited with their `_count` and
-// `_sum` series. `*_total` series render as counters, the rest as
-// gauges. Families are emitted in sorted name order.
+// PromContentType is the content type for the Prometheus text exposition
+// format served at GET /metrics.
+const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
+
+// WritePromFlat renders a flat name → int64 map — a node's own snapshot
+// (metrics.Registry.Snapshot plus derived gauges, the /v1/metrics body)
+// or the merged cluster snapshot from metrics.MergeSnapshots — as
+// Prometheus text format. Histogram families are reconstructed from the
+// flat keys: `*_bucket` series with an `le` label are regrouped per label
+// set, ordered by numeric bound with `+Inf` last, and reunited with their
+// `_count` and `_sum` series (the sum as the snapshot's integer).
+// `*_total` series render as counters, the rest as gauges. Families are
+// emitted in sorted name order.
 func WritePromFlat(w io.Writer, flat map[string]int64) error {
 	fams := map[string]bool{}
 	for name := range flat {

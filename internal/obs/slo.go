@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"ppclust/internal/metrics"
 )
 
 // SLO engine: per-route latency and error-rate objectives evaluated
@@ -247,7 +249,8 @@ func parseLatency(s string) (float64, error) {
 // sloBoundsMs are the fixed latency buckets each objective's window
 // keeps for observed-quantile estimates. Coarse on purpose: the
 // objective's own threshold decides good/bad exactly; the histogram
-// only drives the reported "observed pXX".
+// only drives the reported "observed pXX", interpolated within a bucket
+// and capped at the top bound.
 var sloBoundsMs = [...]float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
 const sloSlots = 30
@@ -397,31 +400,21 @@ func (e *SLOEngine) Statuses() []SLOStatus {
 			st.ObservedRate = float64(bad) / float64(total)
 		}
 		if o.Quantile > 0 && total > 0 {
-			st.ObservedMs = quantileFromHist(hist[:], total, o.Quantile)
+			buckets := make([]metrics.BucketCount, len(hist))
+			var cum int64
+			for b, c := range hist {
+				cum += c
+				bound := math.Inf(1)
+				if b < len(sloBoundsMs) {
+					bound = sloBoundsMs[b]
+				}
+				buckets[b] = metrics.BucketCount{UpperBound: bound, Count: cum}
+			}
+			st.ObservedMs = metrics.QuantileFromBuckets(buckets, o.Quantile)
 		}
 		out = append(out, st)
 	}
 	return out
-}
-
-// quantileFromHist returns the upper bound of the bucket holding the
-// q-th ranked observation — a coarse but monotone estimate.
-func quantileFromHist(hist []int64, total int64, q float64) float64 {
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i, c := range hist {
-		seen += c
-		if seen >= rank {
-			if i < len(sloBoundsMs) {
-				return sloBoundsMs[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return 0
 }
 
 // roundBurn keeps burn rates JSON-friendly: +Inf (zero-budget breach)

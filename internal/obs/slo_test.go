@@ -166,21 +166,30 @@ func TestSLOEngineWindowExpiry(t *testing.T) {
 	}
 }
 
-func TestQuantileFromHist(t *testing.T) {
-	var hist [len(sloBoundsMs) + 1]int64
-	// 90 obs in the <=10ms bucket (index 3), 10 in the <=250ms bucket.
-	hist[3] = 90
-	hist[7] = 10
-	if got := quantileFromHist(hist[:], 100, 0.5); got != 10 {
-		t.Errorf("p50 = %g, want 10", got)
+// TestSLOObservedQuantile: observed_ms interpolates inside the SLO
+// bucket holding the target rank (metrics.QuantileFromBuckets, the
+// estimator behind the pulse _pNN series) and caps at the top finite
+// bound, so a latency past it never reports +Inf, which encoding/json
+// refuses.
+func TestSLOObservedQuantile(t *testing.T) {
+	e, now := testEngine(t, "p50<1s,p99<1s", time.Minute)
+	for i := 0; i < 90; i++ {
+		e.Observe("x", 7, false) // (5, 10] bucket
 	}
-	if got := quantileFromHist(hist[:], 100, 0.99); got != 250 {
-		t.Errorf("p99 = %g, want 250", got)
+	for i := 0; i < 10; i++ {
+		e.Observe("x", 200, false) // (100, 250] bucket
 	}
-	hist = [len(sloBoundsMs) + 1]int64{}
-	hist[len(sloBoundsMs)] = 1 // one +Inf overflow
-	if got := quantileFromHist(hist[:], 1, 0.99); !math.IsInf(got, 1) {
-		t.Errorf("overflow bucket p99 = %g, want +Inf", got)
+	sts := e.Statuses()
+	if got, want := sts[0].ObservedMs, 5+5*50.0/90; math.Abs(got-want) > 1e-9 {
+		t.Errorf("p50 = %g, want %g", got, want)
+	}
+	if got := sts[1].ObservedMs; math.Abs(got-235) > 1e-9 {
+		t.Errorf("p99 = %g, want 235", got)
+	}
+	*now = now.Add(2 * time.Minute) // age the window out
+	e.Observe("x", 20000, false)
+	if got := e.Statuses()[1].ObservedMs; got != 10000 {
+		t.Errorf("overflow p99 = %g, want the top finite bound 10000", got)
 	}
 }
 

@@ -24,24 +24,13 @@ func FedMetricLabel(id string) string {
 	return hex.EncodeToString(h[:6])
 }
 
-// MetricsSnapshot returns every counter plus the live job, engine,
-// federation and datastore-cache gauges — the body of the JSON metrics
-// surface, shared by the HTTP route and embedded use.
+// MetricsSnapshot returns every registry counter and histogram series
+// plus the live job, engine, admission, federation, datastore-cache and
+// runtime gauges and those of every AddGaugeSource provider: the one flat
+// body behind /v1/metrics and, through obs.WritePromFlat, /metrics, and
+// the embedded-use surface.
 func (s *Services) MetricsSnapshot() map[string]int64 {
 	snap := s.c.reg.Snapshot()
-	for k, v := range s.Gauges() {
-		snap[k] = v
-	}
-	return snap
-}
-
-// Gauges returns only the live derived gauges (jobs, engine, admission,
-// federations, datastore cache) without the registry counters and
-// histograms. The Prometheus exposition path renders the registry with
-// full typing and takes the gauges from here; the JSON path merges both
-// flat via MetricsSnapshot.
-func (s *Services) Gauges() map[string]int64 {
-	snap := make(map[string]int64, 32)
 	stats := s.c.mgr.Stats()
 	snap["jobs_submitted_total"] = stats.Submitted
 	snap["jobs_completed_total"] = stats.Completed

@@ -129,7 +129,7 @@ func New(cfg Config) *Services {
 func (s *Services) Registry() *metrics.Registry { return s.c.reg }
 
 // AddGaugeSource registers an additional live gauge provider whose map
-// is merged into Gauges (and so MetricsSnapshot) at read time. The
+// is merged into MetricsSnapshot at read time. The
 // transport uses it to surface observability-plane state — trace-store
 // occupancy, SLO burn rates — without the service layer knowing those
 // subsystems. A nil fn is ignored; a source returning nil contributes
