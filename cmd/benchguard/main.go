@@ -1,4 +1,4 @@
-// Command benchguard is the CI regression gate over benchjson artifacts.
+// Command benchguard is the CI regression gate over benchjson documents.
 // It compares speedup ratios — not absolute ns/op — between a committed
 // baseline document and the current run, so the gate holds on any runner
 // speed: a ratio like CSV-path / binary-path time is a property of the
@@ -12,7 +12,8 @@
 //	           -ratio 'BenchmarkWireIngestProtect/csv:BenchmarkWireIngestProtect/binary'
 //
 // Each -ratio names slow:fast benchmarks; the guarded quantity is
-// slowNs/fastNs (how many times faster the fast path is). The gate fails
+// slowNs/fastNs (how many times faster the fast path is), each side the
+// median ns/op of its repeated entries (-count N). The gate fails
 // when the current ratio falls more than -tolerance below the baseline's
 // — e.g. the binary wire path losing >15% of its measured advantage.
 package main
@@ -23,10 +24,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 )
 
-// result and doc mirror benchjson's artifact (only the fields the guard
+// result and doc mirror benchjson's document (only the fields the guard
 // reads).
 type result struct {
 	Name    string  `json:"name"`
@@ -63,11 +65,27 @@ func load(path string) (map[string]float64, error) {
 	if err := json.NewDecoder(f).Decode(&d); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	ns := make(map[string]float64, len(d.Benchmarks))
+	runs := make(map[string][]float64, len(d.Benchmarks))
 	for _, b := range d.Benchmarks {
-		ns[b.Name] = b.NsPerOp
+		runs[b.Name] = append(runs[b.Name], b.NsPerOp)
+	}
+	ns := make(map[string]float64, len(runs))
+	for name, v := range runs {
+		ns[name] = median(v)
 	}
 	return ns, nil
+}
+
+// median is the middle of v (the mean of the middle two for an even
+// count): a benchmark run with -count N is judged by its typical run, not
+// by whichever came last.
+func median(v []float64) float64 {
+	slices.Sort(v)
+	mid := len(v) / 2
+	if len(v)%2 == 0 {
+		return (v[mid-1] + v[mid]) / 2
+	}
+	return v[mid]
 }
 
 func ratio(ns map[string]float64, spec ratioSpec, src string) (float64, error) {

@@ -76,4 +76,38 @@ func TestGuardRatios(t *testing.T) {
 	if err := run(nil, &out); err == nil {
 		t.Fatal("no flags accepted")
 	}
+
+	// Repeated entries (-count 3) are judged by their median, not by the
+	// last one: the baseline's medians are 300 and 100 (3.0x) although
+	// its last entries give 1.5x, and the current run's medians give
+	// 2.0x although its last entries give 3.0x. By medians the current
+	// run regressed; by last entries it would have doubled.
+	repBase := writeDoc(t, dir, "rep-base.json", `{"benchmarks":[
+		{"name":"BenchmarkX/slow","ns_per_op":310},
+		{"name":"BenchmarkX/slow","ns_per_op":300},
+		{"name":"BenchmarkX/slow","ns_per_op":150},
+		{"name":"BenchmarkX/fast","ns_per_op":90},
+		{"name":"BenchmarkX/fast","ns_per_op":100},
+		{"name":"BenchmarkX/fast","ns_per_op":100}]}`)
+	repCur := writeDoc(t, dir, "rep-cur.json", `{"benchmarks":[
+		{"name":"BenchmarkX/slow","ns_per_op":200},
+		{"name":"BenchmarkX/slow","ns_per_op":200},
+		{"name":"BenchmarkX/slow","ns_per_op":300},
+		{"name":"BenchmarkX/fast","ns_per_op":100},
+		{"name":"BenchmarkX/fast","ns_per_op":110},
+		{"name":"BenchmarkX/fast","ns_per_op":100}]}`)
+	out.Reset()
+	err = run([]string{"-baseline", repBase, "-current", repCur,
+		"-ratio", "BenchmarkX/slow:BenchmarkX/fast"}, &out)
+	if err == nil || !strings.Contains(out.String(), "baseline 3.00x, current 2.00x") {
+		t.Fatalf("medians of repeated entries: err %v, output %q", err, out.String())
+	}
+	if err := run([]string{"-baseline", repBase, "-current", repBase,
+		"-ratio", "BenchmarkX/slow:BenchmarkX/fast"}, &out); err != nil {
+		t.Fatalf("a baseline failed against itself: %v", err)
+	}
+	// An even count takes the mean of the middle two.
+	if got := median([]float64{4, 1, 3, 2}); got != 2.5 {
+		t.Fatalf("median of 1..4 = %v, want 2.5", got)
+	}
 }

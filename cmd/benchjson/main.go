@@ -1,16 +1,14 @@
 // Command benchjson converts `go test -bench` text output into a JSON
-// artifact, so CI can archive per-commit benchmark numbers
-// (BENCH_ppclustd.json, BENCH_ppfed.json) and the performance trajectory
-// of the engine, the job subsystem and the federation workload stays
-// machine-comparable across builds.
+// document: the form cmd/benchguard reads (CI's BENCH_ppspeed.json and
+// the committed bench/BENCH_ppspeed_baseline.json).
 //
 // Usage:
 //
 //	go test -run NONE -bench . -benchtime 1x ./... | benchjson -out BENCH.json
-//	benchjson -match 'Federation' -out BENCH_ppfed.json < bench.txt
+//	benchjson -match 'WireIngestProtect' -out BENCH_ppspeed.json < bench.txt
 //
 // -match keeps only benchmarks whose name matches the regexp, which lets
-// one bench run be split into several per-subsystem artifacts.
+// one bench run be split into several documents.
 // Non-benchmark lines (pkg headers, PASS/ok) are skipped; metadata lines
 // (goos, goarch, cpu) are captured into the document header.
 package main

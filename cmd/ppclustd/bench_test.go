@@ -90,8 +90,7 @@ func BenchmarkJobEndToEnd(b *testing.B) {
 // BenchmarkFederationEndToEnd measures the full served federation path —
 // create, N parties join, contribute M-row partitions (coordinator fit +
 // stream-protected parties), seal, joint kmeans, result fetch — through
-// the ppclient SDK, the number the CI bench smoke archives as
-// BENCH_ppfed.json.
+// the ppclient SDK. CI's bench smoke runs it once.
 func BenchmarkFederationEndToEnd(b *testing.B) {
 	for _, shape := range []struct{ parties, rows int }{
 		{3, 500},

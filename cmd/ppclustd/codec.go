@@ -7,8 +7,10 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,6 +19,7 @@ import (
 
 	"ppclust/internal/codec"
 	"ppclust/internal/matrix"
+	"ppclust/internal/service"
 )
 
 const (
@@ -62,14 +65,11 @@ func contentType(format string) string {
 	return "text/csv; charset=utf-8"
 }
 
-// rowReader yields numeric rows one at a time; Read returns io.EOF at the
-// end of the stream.
-type rowReader interface {
-	// Names returns the attribute names, available after the first Read
-	// (CSV yields them from the header; NDJSON synthesizes them).
-	Names() []string
-	Read() ([]float64, error)
-}
+// rowReader is service.RowSource: Names reads the header (CSV, binary)
+// or first row (NDJSON) on first use; Read yields one fresh row at a
+// time; ReadRows parses whole rows straight into the caller's buffer.
+// Both end in io.EOF.
+type rowReader = service.RowSource
 
 // rowWriter emits numeric rows a block at a time; the binary format
 // writes each block as one batch frame. Close marks the stream complete
@@ -121,37 +121,60 @@ func (b *binaryWriter) WriteBatch(m *matrix.Dense) error { return b.bw.WriteBatc
 func (b *binaryWriter) Flush() error                     { return b.bw.Flush() }
 func (b *binaryWriter) Close() error                     { return b.bw.Close() }
 
+// readRow is Read for the text readers, which parse straight into a
+// caller's buffer: one fresh row through ReadRows.
+func readRow(rr rowReader) ([]float64, error) {
+	row := make([]float64, len(rr.Names()))
+	if _, err := rr.ReadRows(row); err != nil {
+		return nil, err
+	}
+	return row, nil
+}
+
 // csvReader parses a header row of names followed by numeric records.
 type csvReader struct {
 	cr    *csv.Reader
 	names []string
+	err   error // why the header could not be read, io.EOF for an empty body
 }
 
-func (c *csvReader) Names() []string { return c.names }
-
-func (c *csvReader) Read() ([]float64, error) {
-	for {
+func (c *csvReader) Names() []string {
+	if c.names == nil && c.err == nil {
 		rec, err := c.cr.Read()
 		if err != nil {
-			return nil, err
-		}
-		if c.names == nil {
+			c.err = err
+		} else {
 			c.names = append([]string(nil), rec...)
-			continue
 		}
-		if len(rec) != len(c.names) {
-			return nil, fmt.Errorf("row has %d fields, header has %d", len(rec), len(c.names))
+	}
+	return c.names
+}
+
+func (c *csvReader) Read() ([]float64, error) { return readRow(c) }
+
+func (c *csvReader) ReadRows(dst []float64) (int, error) {
+	if c.Names() == nil {
+		return 0, c.err
+	}
+	cols := len(c.names)
+	n := 0
+	for ; (n+1)*cols <= len(dst); n++ {
+		rec, err := c.cr.Read()
+		if err != nil {
+			return n, err
 		}
-		row := make([]float64, len(rec))
+		if len(rec) != cols {
+			return n, fmt.Errorf("row has %d fields, header has %d", len(rec), cols)
+		}
 		for j, field := range rec {
 			v, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
 			if err != nil {
-				return nil, fmt.Errorf("field %d: %w", j, err)
+				return n, fmt.Errorf("field %d: %w", j, err)
 			}
-			row[j] = v
+			dst[n*cols+j] = v
 		}
-		return row, nil
 	}
+	return n, nil
 }
 
 // ndjsonReader parses one JSON array of numbers per line, skipping blank
@@ -159,27 +182,43 @@ func (c *csvReader) Read() ([]float64, error) {
 type ndjsonReader struct {
 	sc    *bufio.Scanner
 	names []string
+	first []float64 // the first row, parsed by Names and not yet read
+	err   error     // why the first row could not be read, io.EOF for an empty body
 }
 
-func (n *ndjsonReader) Names() []string { return n.names }
-
-func (n *ndjsonReader) Read() ([]float64, error) {
-	for n.sc.Scan() {
-		line := strings.TrimSpace(n.sc.Text())
-		if line == "" {
-			continue
-		}
-		var row []float64
-		if err := json.Unmarshal([]byte(line), &row); err != nil {
-			return nil, fmt.Errorf("parsing ndjson row: %w", err)
-		}
-		if n.names == nil {
+func (n *ndjsonReader) Names() []string {
+	if n.names == nil && n.err == nil {
+		row, err := n.next(nil)
+		switch {
+		case err != nil:
+			n.err = err
+		case len(row) == 0:
+			n.err = errors.New("ndjson row has no values")
+		default:
+			n.first = row
 			n.names = make([]string, len(row))
 			for j := range n.names {
 				n.names[j] = "c" + strconv.Itoa(j)
 			}
 		}
-		if len(row) != len(n.names) {
+	}
+	return n.names
+}
+
+// next parses the next non-blank line into row's memory, zeroed first
+// because a JSON null leaves its element as it was.
+func (n *ndjsonReader) next(row []float64) ([]float64, error) {
+	for n.sc.Scan() {
+		line := bytes.TrimSpace(n.sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		clear(row)
+		row = row[:0]
+		if err := json.Unmarshal(line, &row); err != nil {
+			return nil, fmt.Errorf("parsing ndjson row: %w", err)
+		}
+		if n.names != nil && len(row) != len(n.names) {
 			return nil, fmt.Errorf("row has %d values, stream has %d columns", len(row), len(n.names))
 		}
 		return row, nil
@@ -188,6 +227,26 @@ func (n *ndjsonReader) Read() ([]float64, error) {
 		return nil, err
 	}
 	return nil, io.EOF
+}
+
+func (n *ndjsonReader) Read() ([]float64, error) { return readRow(n) }
+
+func (n *ndjsonReader) ReadRows(dst []float64) (int, error) {
+	if n.Names() == nil {
+		return 0, n.err
+	}
+	cols := len(n.names)
+	k := 0
+	for ; (k+1)*cols <= len(dst); k++ {
+		row := dst[k*cols : (k+1)*cols : (k+1)*cols]
+		if n.first != nil {
+			copy(row, n.first)
+			n.first = nil
+		} else if _, err := n.next(row); err != nil {
+			return k, err
+		}
+	}
+	return k, nil
 }
 
 // csvWriter writes the header through encoding/csv, which quotes names

@@ -1,6 +1,6 @@
 package main
 
-// pppulse benchmarks, archived by CI as BENCH_pppulse.json:
+// pppulse benchmarks (CI runs each once):
 //
 //   - BenchmarkPulseSampler: the served stream-protect path with the
 //     sampler off vs sampling every 100ms — the pair that proves
@@ -9,7 +9,7 @@ package main
 //     taxes a live daemon);
 //   - history-query and alert-eval microbenches live in internal/obs
 //     (BenchmarkPulseHistoryQuery, BenchmarkAlertEval) and ride along in
-//     the same artifact.
+//     the same CI step.
 
 import (
 	"bytes"

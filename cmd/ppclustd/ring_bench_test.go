@@ -1,9 +1,8 @@
 package main
 
 // Ring ingest benchmarks: the same multi-owner upload workload against
-// a single node and a 3-node ring. CI's bench smoke runs these and
-// records the pair into BENCH_ppring.json, so the ingest scaling the
-// ring buys (or costs) is tracked over time.
+// a single node and a 3-node ring, so the ingest scaling the ring buys
+// (or costs) can be read from one run. CI's bench smoke runs each once.
 
 import (
 	"bytes"

@@ -1,6 +1,6 @@
 package main
 
-// ppscope benchmarks, archived by CI as BENCH_ppscope.json:
+// ppscope benchmarks (CI runs each once):
 //
 //   - BenchmarkTraceStore: the served stream-protect path with the trace
 //     store disabled vs enabled at the default 10% sampling — the pair

@@ -425,8 +425,10 @@ func (s *server) handleRecover(w http.ResponseWriter, r *http.Request) {
 	s.pump(r.Context(), w, format, newRowReader(format, body), tr)
 }
 
-// pump streams the request body through tr in batches of batchRows,
-// writing transformed rows as they are produced.
+// pump streams the request body through tr in batches of batchRows, all
+// in one per-request buffer: each batch is read into it, transformed in
+// place and written from it, as frames of exactly batchRows rows but the
+// last — the framing of a fit release of the same body.
 func (s *server) pump(ctx context.Context, w http.ResponseWriter, format string, rr rowReader, tr *service.BatchTransformer) {
 	// Interleaving request-body reads with response writes needs explicit
 	// full-duplex mode on HTTP/1.x; without it the server closes the body
@@ -448,8 +450,15 @@ func (s *server) pump(ctx context.Context, w http.ResponseWriter, format string,
 			"trace", obs.TraceID(ctx), "err", err.Error())
 		panic(http.ErrAbortHandler)
 	}
+	// A wrong-width body is refused on its header, before any of its rows
+	// are buffered (an empty or unreadable one is left to the first read).
+	if n := len(rr.Names()); n != 0 && n != tr.Cols {
+		writeErr(w, service.Invalid(fmt.Errorf("body has %d columns, the key has %d", n, tr.Cols)))
+		return
+	}
+	batches := service.NewBatches(rr, s.batchRows)
 	for {
-		batch, err := service.ReadBatch(rr, s.batchRows)
+		batch, err := batches.Next()
 		if err != nil && !errors.Is(err, io.EOF) {
 			if !started {
 				writeErr(w, err)
@@ -459,8 +468,7 @@ func (s *server) pump(ctx context.Context, w http.ResponseWriter, format string,
 		}
 		done := errors.Is(err, io.EOF)
 		if batch != nil {
-			out, err := tr.Transform(batch)
-			if err != nil {
+			if err := tr.Transform(batch); err != nil {
 				if !started {
 					writeErr(w, err)
 					return
@@ -474,7 +482,7 @@ func (s *server) pump(ctx context.Context, w http.ResponseWriter, format string,
 				}
 				wroteNames = true
 			}
-			if err := rw.WriteBatch(out); err != nil {
+			if err := rw.WriteBatch(batch); err != nil {
 				abort("writing", err)
 			}
 			flush(rw, w)

@@ -6,7 +6,8 @@ package main
 // data. The columnar engine is the same in both; what the sub-benches
 // compare is the wire: CSV pays float↔text conversion in both directions,
 // the framed binary format moves the same values as raw little-endian
-// float64 batches. CI archives this as part of BENCH_ppspeed.json.
+// float64 batches. CI runs it three times into BENCH_ppspeed.json, whose
+// medians cmd/benchguard holds to the committed csv÷binary ratio.
 
 import (
 	"bytes"

@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -181,36 +182,88 @@ func TestBinaryIngestRejectionParity(t *testing.T) {
 	}
 }
 
-// TestBinaryProtectStreamMatchesCSV: steady-state stream-protect over
-// the binary wire produces bit-identically the release the CSV wire
-// does — the no-conversion path changes representation, never values.
+// renderLabeled frames m with labels as a labeled binary stream, in
+// frames of frameRows rows, under renderBody's column names.
+func renderLabeled(t *testing.T, m *matrix.Dense, labels []int, frameRows int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := codec.NewWriter(&buf)
+	names := make([]string, m.Cols())
+	for j := range names {
+		names[j] = fmt.Sprintf("a%d", j)
+	}
+	if err := w.WriteHeader(names, true); err != nil {
+		t.Fatal(err)
+	}
+	n := m.Cols()
+	for lo := 0; lo < m.Rows(); lo += frameRows {
+		hi := min(lo+frameRows, m.Rows())
+		if err := w.WriteBatch(matrix.NewDense(hi-lo, n, m.Raw()[lo*n:hi*n]), labels[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestBinaryProtectStreamMatchesCSV: the stream pump releases exactly
+// what a fit releases, whatever the batch size, the body's wire format or
+// the client's framing. At -batch-rows 1, 7, 64 and 4096, a binary body
+// sent as one frame, as 1-row frames or as frames straddling batch edges
+// releases byte for byte the fit release of the same body; CSV and NDJSON
+// bodies release the same values bit for bit; a labeled binary body
+// streams with its labels read and dropped; and a recover through the
+// same pump returns the body.
 func TestBinaryProtectStreamMatchesCSV(t *testing.T) {
-	ts, _ := newTestServer(t)
-	csvBody, orig := testCSV(t, 200, 3)
-
-	resp, _ := post(t, ts.URL+"/v1/protect?owner=wp&seed=5", csvBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fit: %d", resp.StatusCode)
+	_, orig := testCSV(t, 4500, 3)
+	rows := orig.Rows()
+	labels := make([]int, rows)
+	for i := range labels {
+		labels[i] = i % 3
 	}
-	tok := token(t, resp)
-
-	respCSV, relCSV := postAuth(t, ts.URL+"/v1/protect?owner=wp&mode=stream", tok, csvBody)
-	if respCSV.StatusCode != http.StatusOK {
-		t.Fatalf("csv stream: %d %s", respCSV.StatusCode, relCSV)
-	}
-	names := make([]string, orig.Cols())
-	respBin, relBin := postBinary(t, ts.URL+"/v1/protect?owner=wp&mode=stream&format=binary", tok,
-		renderBinaryRows(t, names, orig))
-	if respBin.StatusCode != http.StatusOK {
-		t.Fatalf("binary stream: %d", respBin.StatusCode)
-	}
-	if ct := respBin.Header.Get("Content-Type"); ct != codec.ContentType {
-		t.Fatalf("binary stream response content type = %q", ct)
-	}
-	_, gotBin := decodeBinaryRows(t, relBin)
-	gotCSV := parseCSVBody(t, relCSV)
-	if !bitIdentical(gotBin, gotCSV) {
-		t.Fatal("binary stream release differs from CSV stream release")
+	for _, batchRows := range []int{1, 7, 64, 4096} {
+		ts, s := newTestServer(t)
+		s.batchRows = batchRows
+		resp, fit := postBinary(t, ts.URL+"/v1/protect?owner=wp&seed=5", "", renderBody(t, formatBinary, orig, rows))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch-rows %d: fit: %d %s", batchRows, resp.StatusCode, fit)
+		}
+		tok := token(t, resp)
+		stream := func(format string, body []byte) []byte {
+			t.Helper()
+			resp, rel := postBinary(t, ts.URL+"/v1/protect?owner=wp&mode=stream&format="+format, tok, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("batch-rows %d: %s stream: %d %s", batchRows, format, resp.StatusCode, rel)
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != contentType(format) {
+				t.Fatalf("batch-rows %d: %s stream response content type = %q", batchRows, format, ct)
+			}
+			return rel
+		}
+		straddle := max(2, batchRows*2/3+1)
+		for _, frameRows := range []int{rows, 1, straddle} {
+			if rel := stream(formatBinary, renderBody(t, formatBinary, orig, frameRows)); !bytes.Equal(rel, fit) {
+				t.Fatalf("batch-rows %d, %d-row frames: binary stream release differs from the fit release", batchRows, frameRows)
+			}
+		}
+		if rel := stream(formatBinary, renderLabeled(t, orig, labels, straddle)); !bytes.Equal(rel, fit) {
+			t.Fatalf("batch-rows %d: labeled binary stream release differs from the fit release", batchRows)
+		}
+		want := decodeBody(t, formatBinary, fit)
+		for _, format := range []string{formatCSV, formatNDJSON} {
+			if got := decodeBody(t, format, stream(format, renderBody(t, format, orig, rows))); !bitIdentical(got, want) {
+				t.Fatalf("batch-rows %d: %s stream release differs from the binary one", batchRows, format)
+			}
+		}
+		resp, back := postBinary(t, ts.URL+"/v1/recover?owner=wp&format=binary", tok, fit)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch-rows %d: recover: %d %s", batchRows, resp.StatusCode, back)
+		}
+		if got := decodeBody(t, formatBinary, back); !matrix.EqualApprox(got, orig, 1e-9) {
+			t.Fatalf("batch-rows %d: recover did not return the body", batchRows)
+		}
 	}
 }
 

@@ -22,6 +22,15 @@
 // unsafe []float64↔[]byte reinterpretation — one memmove per batch, no
 // per-value conversion; big-endian hosts fall back to element-wise
 // encoding so the wire format stays portable.
+//
+// Reader.ReadRows is the batch contract: it fills a caller's buffer with
+// whole rows across frame boundaries, reading each payload straight from
+// the buffered wire, and returns short only with io.EOF or an error — the
+// daemon's stream pump reads every batch into one per-request buffer this
+// way. Read and ReadBatch decode into fresh memory instead, and grow a
+// frame's slice as its payload arrives (at most 512 KiB first, then
+// fourfold), so a header declaring a 256 MiB frame costs what the sender
+// actually sent.
 package codec
 
 import (
@@ -31,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"unsafe"
 
@@ -54,8 +64,9 @@ const (
 	// defaultBatchRows is the row-buffering granularity of Writer.WriteRow.
 	defaultBatchRows = 4096
 
-	// maxCols and maxBatchRows bound decoder allocations so a hostile
-	// or corrupt header cannot make the server reserve gigabytes.
+	// maxCols, maxBatchRows and maxBatchSize bound what one header may
+	// declare. What the decoder allocates is bounded by the bytes that
+	// arrive (matrix.GrowRows), never by these declarations.
 	maxCols      = 1 << 16
 	maxNameLen   = 1 << 12
 	maxBatchRows = 1 << 22
@@ -262,10 +273,22 @@ func (w *Writer) Close() error {
 	return w.w.Flush()
 }
 
-// Reader decodes a framed binary row stream. It implements the daemon's
-// rowReader contract: Names() after the header is read, Read() yielding
-// one fresh row at a time, io.EOF after a *complete* stream (header, zero
-// or more batches, end frame) — anything else is an error.
+// Reader decodes a framed binary row stream. Names reads the header;
+// rows then come through one of two surfaces, each ending in io.EOF only
+// after a *complete* stream (header, zero or more batches, end frame):
+//
+//   - ReadRows(dst) is the batch contract the daemon's row readers share:
+//     it fills the caller's buffer with whole rows, straight from the
+//     buffered wire, across frame boundaries, and returns short only
+//     with io.EOF or an error.
+//   - Read, ReadLabeled and ReadBatch decode into fresh memory that stays
+//     valid after later calls. A frame's slice grows as its payload
+//     arrives (matrix.GrowRows), so what a stream makes the reader
+//     allocate tracks the bytes it has sent, not the sizes its headers
+//     declare. A 4 096×16 frame (512 KiB) decodes in one allocation.
+//
+// Both surfaces yield every whole row that arrived before a stream broke
+// off, then the error.
 type Reader struct {
 	r       *bufio.Reader
 	names   []string
@@ -275,10 +298,9 @@ type Reader struct {
 	done    bool
 	err     error
 
-	batch   []float64 // current decoded batch (fresh per frame)
-	labels  []int
-	cursor  int // next row within batch
-	rows    int // rows in current batch
+	left    int       // rows of the open frame whose values are still on the wire
+	batch   []float64 // rows decoded for Read and ReadBatch, not yet handed out
+	labels  []int     // their labels, on labeled streams
 	total   uint64
 	scratch [9]byte
 }
@@ -319,6 +341,7 @@ func (r *Reader) header() error {
 	}
 	r.cols = cols
 	r.names = make([]string, cols)
+	var buf []byte
 	for j := range r.names {
 		if _, err := io.ReadFull(r.r, r.scratch[:2]); err != nil {
 			return r.fail(truncated(err))
@@ -331,7 +354,7 @@ func (r *Reader) header() error {
 			r.names[j] = "c" + strconv.Itoa(j)
 			continue
 		}
-		buf := make([]byte, nameLen)
+		buf = slices.Grow(buf[:0], nameLen)[:nameLen]
 		if _, err := io.ReadFull(r.r, buf); err != nil {
 			return r.fail(truncated(err))
 		}
@@ -346,7 +369,8 @@ func (r *Reader) fail(err error) error {
 }
 
 // Names returns the column names, reading the header if needed. It
-// returns nil if the header is unreadable (Read surfaces the error).
+// returns nil if the header is unreadable (the next read surfaces the
+// error).
 func (r *Reader) Names() []string {
 	if err := r.header(); err != nil {
 		return nil
@@ -355,11 +379,12 @@ func (r *Reader) Names() []string {
 }
 
 // Labeled reports whether the stream carries per-row labels (readable
-// after the header, i.e. after Names or the first Read).
+// after the header, i.e. after Names or the first read).
 func (r *Reader) Labeled() bool { return r.labeled }
 
-// nextFrame loads the next batch frame, or flags completion at the end
-// frame.
+// nextFrame parses frame headers up to the next batch frame with rows,
+// which it opens, or through the end frame, where it returns io.EOF. It
+// is the one frame-header parser behind every read surface.
 func (r *Reader) nextFrame() error {
 	for {
 		if _, err := io.ReadFull(r.r, r.scratch[:1]); err != nil {
@@ -386,35 +411,7 @@ func (r *Reader) nextFrame() error {
 			if rows > maxBatchRows || rows*r.cols*8 > maxBatchSize {
 				return fmt.Errorf("ppclust-rows: batch of %d rows exceeds frame limits", rows)
 			}
-			// A fresh slice per frame: downstream accumulates row
-			// sub-slices across Read calls (the RowSource contract), so
-			// batch memory must never be reused.
-			r.batch = make([]float64, rows*r.cols)
-			if hostLittle {
-				if _, err := io.ReadFull(r.r, f64bytes(r.batch)); err != nil {
-					return truncated(err)
-				}
-			} else {
-				var buf [8]byte
-				for i := range r.batch {
-					if _, err := io.ReadFull(r.r, buf[:]); err != nil {
-						return truncated(err)
-					}
-					r.batch[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-				}
-			}
-			if r.labeled {
-				r.labels = make([]int, rows)
-				var buf [8]byte
-				for i := range r.labels {
-					if _, err := io.ReadFull(r.r, buf[:]); err != nil {
-						return truncated(err)
-					}
-					r.labels[i] = int(int64(binary.LittleEndian.Uint64(buf[:])))
-				}
-			}
-			r.rows = rows
-			r.cursor = 0
+			r.left = rows
 			r.total += uint64(rows)
 			return nil
 		default:
@@ -423,8 +420,94 @@ func (r *Reader) nextFrame() error {
 	}
 }
 
+// open leaves a frame with values still on the wire open, or says why
+// there is none: io.EOF after a complete stream, or the stream's error.
+func (r *Reader) open() error {
+	if err := r.header(); err != nil {
+		return err // the header's error, or any later one
+	}
+	if r.done {
+		return io.EOF
+	}
+	if r.left > 0 {
+		return nil
+	}
+	err := r.nextFrame()
+	if err != nil && err != io.EOF {
+		r.fail(err)
+	}
+	return err
+}
+
+// values reads whole rows of the open frame from the wire into dst —
+// one memmove on little-endian hosts — and returns how many arrived
+// whole. An error means the stream broke off there; the reader fails.
+func (r *Reader) values(dst []float64) (int, error) {
+	n, err := 0, error(nil)
+	if hostLittle {
+		n, err = io.ReadFull(r.r, f64bytes(dst))
+		n /= 8
+	} else {
+		var buf [8]byte
+		for ; n < len(dst); n++ {
+			if _, err = io.ReadFull(r.r, buf[:]); err != nil {
+				break
+			}
+			dst[n] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
+		}
+	}
+	rows := n / r.cols
+	r.left -= rows
+	if err != nil {
+		return rows, r.fail(truncated(err))
+	}
+	return rows, nil
+}
+
+// decode reads the rest of the open frame, opening the next if none is,
+// into fresh memory for Read and ReadBatch, grown while the payload
+// arrives. If the stream breaks off mid-frame, the whole rows that
+// arrived are kept and the error waits behind them — except on labeled
+// streams, whose rows are whole only with their labels, which follow the
+// frame's values.
+func (r *Reader) decode() error {
+	if err := r.open(); err != nil {
+		return err
+	}
+	rows := r.left
+	want := rows * r.cols
+	vals := matrix.GrowRows(nil, r.cols, rows)
+	got := 0
+	for {
+		k, err := r.values(vals[got:])
+		got += k * r.cols
+		if err != nil {
+			if r.labeled || got == 0 {
+				return err
+			}
+			r.batch = vals[:got]
+			return nil
+		}
+		if got == want {
+			break
+		}
+		vals = matrix.GrowRows(vals, r.cols, rows)
+	}
+	if r.labeled {
+		r.labels = make([]int, rows)
+		for i := range r.labels {
+			if _, err := io.ReadFull(r.r, r.scratch[:8]); err != nil {
+				return r.fail(truncated(err))
+			}
+			r.labels[i] = int(int64(binary.LittleEndian.Uint64(r.scratch[:8])))
+		}
+	}
+	r.batch = vals
+	return nil
+}
+
 // Read returns the next row. The returned slice is freshly backed per
-// batch frame and remains valid after subsequent Reads.
+// decoded frame and remains valid after subsequent Reads.
 func (r *Reader) Read() ([]float64, error) {
 	row, _, err := r.ReadLabeled()
 	return row, err
@@ -433,29 +516,16 @@ func (r *Reader) Read() ([]float64, error) {
 // ReadLabeled is Read plus the row's label on labeled streams (label is
 // 0 on unlabeled ones).
 func (r *Reader) ReadLabeled() ([]float64, int, error) {
-	if err := r.header(); err != nil {
-		return nil, 0, err
-	}
-	if r.err != nil {
-		return nil, 0, r.err
-	}
-	if r.done {
-		return nil, 0, io.EOF
-	}
-	for r.cursor >= r.rows {
-		if err := r.nextFrame(); err != nil {
-			if err != io.EOF {
-				r.fail(err)
-			}
+	if len(r.batch) == 0 {
+		if err := r.decode(); err != nil {
 			return nil, 0, err
 		}
 	}
-	i := r.cursor
-	r.cursor++
-	row := r.batch[i*r.cols : (i+1)*r.cols : (i+1)*r.cols]
+	row := r.batch[:r.cols:r.cols]
+	r.batch = r.batch[r.cols:]
 	label := 0
 	if r.labeled {
-		label = r.labels[i]
+		label, r.labels = r.labels[0], r.labels[1:]
 	}
 	return row, label, nil
 }
@@ -464,29 +534,52 @@ func (r *Reader) ReadLabeled() ([]float64, int, error) {
 // one) as a fresh matrix plus labels on labeled streams; io.EOF after a
 // complete stream. Bulk consumers use it to skip per-row slicing.
 func (r *Reader) ReadBatch() (*matrix.Dense, []int, error) {
-	if err := r.header(); err != nil {
-		return nil, nil, err
-	}
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	if r.done {
-		return nil, nil, io.EOF
-	}
-	for r.cursor >= r.rows {
-		if err := r.nextFrame(); err != nil {
-			if err != io.EOF {
-				r.fail(err)
-			}
+	if len(r.batch) == 0 {
+		if err := r.decode(); err != nil {
 			return nil, nil, err
 		}
 	}
-	lo := r.cursor
-	r.cursor = r.rows
-	vals := r.batch[lo*r.cols : r.rows*r.cols]
-	var labels []int
-	if r.labeled {
-		labels = r.labels[lo:r.rows]
+	b := matrix.NewDense(len(r.batch)/r.cols, r.cols, r.batch)
+	labels := r.labels
+	r.batch, r.labels = nil, nil
+	return b, labels, nil
+}
+
+// ReadRows fills dst with whole rows — len(dst)/len(Names()) of them —
+// and returns how many it filled. Values go straight from the buffered
+// wire into dst, across frame boundaries. A labeled stream decodes each
+// frame as Read does and drops the labels. ReadRows returns short only
+// with io.EOF, after a complete stream, or with an error; the rows it
+// reports are valid either way.
+func (r *Reader) ReadRows(dst []float64) (int, error) {
+	if err := r.header(); err != nil {
+		return 0, err
 	}
-	return matrix.NewDense(r.rows-lo, r.cols, vals), labels, nil
+	room := len(dst) / r.cols
+	n := 0
+	for n < room {
+		if len(r.batch) > 0 || r.labeled {
+			if len(r.batch) == 0 {
+				if err := r.decode(); err != nil {
+					return n, err
+				}
+			}
+			k := copy(dst[n*r.cols:room*r.cols], r.batch) / r.cols
+			r.batch = r.batch[k*r.cols:]
+			if r.labeled {
+				r.labels = r.labels[k:]
+			}
+			n += k
+			continue
+		}
+		if err := r.open(); err != nil {
+			return n, err
+		}
+		k, err := r.values(dst[n*r.cols : (n+min(r.left, room-n))*r.cols])
+		n += k
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -309,4 +310,157 @@ func TestRowBufferingBatches(t *testing.T) {
 	if _, err := rd.Read(); !errors.Is(err, io.EOF) {
 		t.Fatal("stream must end after the buffered rows")
 	}
+}
+
+// declaredFrame is a header of cols unnamed columns and one batch frame
+// header declaring rows rows, with none of the frame's payload: 31 bytes
+// claiming a 256 MiB frame at 8 columns and 2²² rows.
+func declaredFrame(cols, rows int, labeled bool) []byte {
+	var buf bytes.Buffer
+	buf.WriteString("PPRW")
+	flags := byte(0)
+	if labeled {
+		flags = flagLabeled
+	}
+	buf.Write([]byte{version, flags})
+	buf.Write(binary.LittleEndian.AppendUint32(nil, uint32(cols)))
+	for range cols {
+		buf.Write([]byte{0, 0})
+	}
+	buf.WriteByte(frameBatch)
+	buf.Write(binary.LittleEndian.AppendUint32(nil, uint32(rows)))
+	return buf.Bytes()
+}
+
+// allocated returns the bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDeclaredFrameAllocatesWhatArrives: a frame header costs the decoder
+// what the sender actually sent, not what it declared. 31 bytes declaring
+// a 256 MiB frame (and, labeled, 32 MiB of labels) allocate under 1 MiB
+// through every read surface and still end in ErrTruncated.
+func TestDeclaredFrameAllocatesWhatArrives(t *testing.T) {
+	dst := make([]float64, 4096*8)
+	surfaces := map[string]func(*Reader) error{
+		"Read":      func(rd *Reader) error { _, err := rd.Read(); return err },
+		"ReadBatch": func(rd *Reader) error { _, _, err := rd.ReadBatch(); return err },
+		"ReadRows":  func(rd *Reader) error { _, err := rd.ReadRows(dst); return err },
+	}
+	for _, labeled := range []bool{false, true} {
+		body := declaredFrame(8, maxBatchRows, labeled)
+		if len(body) != 31 {
+			t.Fatalf("declared frame is %d bytes, want 31", len(body))
+		}
+		for name, read := range surfaces {
+			var err error
+			got := allocated(func() { err = read(NewReader(bytes.NewReader(body))) })
+			if !errors.Is(err, ErrTruncated) {
+				t.Fatalf("%s (labeled %v): err = %v, want ErrTruncated", name, labeled, err)
+			}
+			if got >= 1<<20 {
+				t.Fatalf("%s (labeled %v): %d B allocated for a 31 B body, want under 1 MiB", name, labeled, got)
+			}
+		}
+	}
+}
+
+// TestFrameDecodesInOneAllocation: a 4 096×16 frame (512 KiB, the
+// daemon's default batch at 16 columns) still decodes into one slice of
+// its size, and a 20 000×16 frame decodes bit-identically through a
+// grown one, allocating about 4/3 of its size.
+func TestFrameDecodesInOneAllocation(t *testing.T) {
+	for _, shape := range [][2]int{{4096, 16}, {20000, 16}} {
+		m := matrix.NewDense(shape[0], shape[1], nil)
+		for i := range m.Raw() {
+			m.Raw()[i] = float64(i) * 0.5
+		}
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		if err := w.WriteHeader(make([]string, shape[1]), false); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteBatch(m, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rd := NewReader(bytes.NewReader(buf.Bytes()))
+		if rd.Names() == nil {
+			t.Fatal("header unreadable")
+		}
+		var b *matrix.Dense
+		var err error
+		got := allocated(func() { b, _, err = rd.ReadBatch() })
+		if err != nil || !matrix.Equal(b, m) {
+			t.Fatalf("%v frame: err %v, decoded matrix differs", shape, err)
+		}
+		// 16 KiB of slack covers the matrix header and whatever the
+		// runtime allocates meanwhile; a second slice would cost more.
+		frame := uint64(8 * len(m.Raw()))
+		if limit := frame*4/3 + 16<<10; got > limit {
+			t.Fatalf("%v frame of %d B: %d B allocated, want at most %d", shape, frame, got, limit)
+		}
+		if shape[0] == 4096 && got > frame+16<<10 {
+			t.Fatalf("4096×16 frame of %d B: %d B allocated, want one slice", frame, got)
+		}
+	}
+}
+
+// readErrClass buckets a read error the way callers branch on it.
+func readErrClass(err error) string {
+	switch {
+	case errors.Is(err, io.EOF):
+		return "EOF"
+	case errors.Is(err, ErrTruncated):
+		return "truncated"
+	}
+	return "other"
+}
+
+// FuzzBinaryReader: for any body, ReadRows into a buffer of 1 to 9 rows
+// yields exactly the rows Read yields, bit for bit, and ends with the same
+// class of error (io.EOF, ErrTruncated or another); neither panics. Seeds
+// under testdata/fuzz cover multi-frame, labeled and zero-row-frame
+// streams, truncation mid-header and mid-payload, bad magic, an oversized
+// frame header and an end-frame count mismatch.
+func FuzzBinaryReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte, dstRows uint8) {
+		var want []float64
+		rd := NewReader(bytes.NewReader(body))
+		var wantErr error
+		for wantErr == nil {
+			var row []float64
+			if row, wantErr = rd.Read(); wantErr == nil {
+				want = append(want, row...)
+			}
+		}
+		rr := NewReader(bytes.NewReader(body))
+		cols := max(len(rr.Names()), 1)
+		dst := make([]float64, (1+int(dstRows%9))*cols)
+		var got []float64
+		var gotErr error
+		for gotErr == nil {
+			var n int
+			n, gotErr = rr.ReadRows(dst)
+			got = append(got, dst[:n*cols]...)
+		}
+		if readErrClass(gotErr) != readErrClass(wantErr) {
+			t.Fatalf("ReadRows ended with %v, Read with %v", gotErr, wantErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("ReadRows yielded %d values, Read %d", len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("value %d: ReadRows %#x, Read %#x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	})
 }

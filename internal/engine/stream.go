@@ -57,29 +57,42 @@ func (sp *StreamProtector) Secret() Secret {
 // Cols returns the column count batches must have.
 func (sp *StreamProtector) Cols() int { return sp.cols }
 
-// ProtectBatch releases one batch of rows (any count >= 1): each row is
-// normalized with the frozen parameters and rotated by the frozen key in
-// one pass over the engine's row blocks. Batches containing NaN or Inf are
-// rejected, matching the fitting path's contract that a release never
-// carries non-finite values. The input is not modified.
+// ProtectBatch releases one batch of rows into fresh memory: a copy of
+// the batch through ProtectInPlace. The input is not modified.
 func (sp *StreamProtector) ProtectBatch(rows *matrix.Dense) (*matrix.Dense, error) {
-	m, n := rows.Dims()
-	if n != sp.cols {
-		return nil, fmt.Errorf("%w: batch has %d columns, stream expects %d", core.ErrBadInput, n, sp.cols)
+	out := rows.Clone()
+	if err := sp.ProtectInPlace(out); err != nil {
+		return nil, err
 	}
-	if m == 0 {
-		return matrix.NewDense(0, n, nil), nil
+	return out, nil
+}
+
+// RecoverBatch inverts ProtectBatch into fresh memory: a copy of the batch
+// through RecoverInPlace. The input is not modified.
+func (sp *StreamProtector) RecoverBatch(rows *matrix.Dense) (*matrix.Dense, error) {
+	out := rows.Clone()
+	if err := sp.RecoverInPlace(out); err != nil {
+		return nil, err
 	}
-	out := matrix.NewDense(m, n, nil)
+	return out, nil
+}
+
+// ProtectInPlace releases one batch of rows (any count) over its own
+// memory: each row is normalized with the frozen parameters and rotated
+// by the frozen key in one pass over the engine's row blocks. Batches
+// containing NaN or Inf are rejected, matching the fitting path's contract
+// that a release never carries non-finite values; the batch's contents are
+// then unspecified.
+func (sp *StreamProtector) ProtectInPlace(rows *matrix.Dense) error {
+	if err := sp.checkCols(rows); err != nil {
+		return err
+	}
 	var bad atomic.Bool
-	sp.eng.forBlocks(m, func(lo, hi int) {
+	sp.eng.forBlocks(rows.Rows(), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			row := out.RawRow(r)
-			copy(row, rows.RawRow(r))
-			for _, v := range row {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					bad.Store(true)
-				}
+			row := rows.RawRow(r)
+			if !finite(row) {
+				bad.Store(true)
 			}
 			normalizeRow(row, sp.sec)
 			for k, p := range sp.sec.Key.Pairs {
@@ -89,31 +102,23 @@ func (sp *StreamProtector) ProtectBatch(rows *matrix.Dense) (*matrix.Dense, erro
 			}
 		}
 	})
-	if bad.Load() {
-		return nil, fmt.Errorf("%w: data contains NaN or Inf", core.ErrBadInput)
-	}
-	return out, nil
+	return nonFinite(&bad)
 }
 
-// RecoverBatch inverts ProtectBatch for one batch of released rows, using
-// the same fused pass and precomputed rotation tables as ProtectBatch (the
-// secret was validated once at construction). Like ProtectBatch it rejects
+// RecoverInPlace inverts ProtectInPlace over the batch's own memory, using
+// the same fused pass and precomputed rotation tables (the secret was
+// validated once at construction). Like ProtectInPlace it rejects
 // non-finite input.
-func (sp *StreamProtector) RecoverBatch(rows *matrix.Dense) (*matrix.Dense, error) {
-	m, n := rows.Dims()
-	if n != sp.cols {
-		return nil, fmt.Errorf("%w: batch has %d columns, stream expects %d", core.ErrBadInput, n, sp.cols)
+func (sp *StreamProtector) RecoverInPlace(rows *matrix.Dense) error {
+	if err := sp.checkCols(rows); err != nil {
+		return err
 	}
-	out := matrix.NewDense(m, n, nil)
 	var bad atomic.Bool
-	sp.eng.forBlocks(m, func(lo, hi int) {
+	sp.eng.forBlocks(rows.Rows(), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			row := out.RawRow(r)
-			copy(row, rows.RawRow(r))
-			for _, v := range row {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					bad.Store(true)
-				}
+			row := rows.RawRow(r)
+			if !finite(row) {
+				bad.Store(true)
 			}
 			for k := len(sp.sec.Key.Pairs) - 1; k >= 0; k-- {
 				p := sp.sec.Key.Pairs[k]
@@ -124,8 +129,28 @@ func (sp *StreamProtector) RecoverBatch(rows *matrix.Dense) (*matrix.Dense, erro
 			denormalizeRow(row, sp.sec)
 		}
 	})
-	if bad.Load() {
-		return nil, fmt.Errorf("%w: data contains NaN or Inf", core.ErrBadInput)
+	return nonFinite(&bad)
+}
+
+func (sp *StreamProtector) checkCols(rows *matrix.Dense) error {
+	if n := rows.Cols(); n != sp.cols {
+		return fmt.Errorf("%w: batch has %d columns, stream expects %d", core.ErrBadInput, n, sp.cols)
 	}
-	return out, nil
+	return nil
+}
+
+func finite(row []float64) bool {
+	for _, v := range row {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+func nonFinite(bad *atomic.Bool) error {
+	if bad.Load() {
+		return fmt.Errorf("%w: data contains NaN or Inf", core.ErrBadInput)
+	}
+	return nil
 }

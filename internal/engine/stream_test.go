@@ -10,8 +10,20 @@ import (
 	"ppclust/internal/matrix"
 )
 
+// inPlace runs fn over a copy of batch and returns the copy: the in-place
+// counterpart of ProtectBatch/RecoverBatch.
+func inPlace(t *testing.T, fn func(*matrix.Dense) error, batch *matrix.Dense) *matrix.Dense {
+	t.Helper()
+	out := batch.Clone()
+	if err := fn(out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestStreamBatchRoundTrip: protect a batch under a frozen transform, then
-// recover it; the original rows must come back.
+// recover it; the original rows must come back. ProtectInPlace and
+// RecoverInPlace produce bit for bit what the copying calls do.
 func TestStreamBatchRoundTrip(t *testing.T) {
 	eng := New(4, 256)
 	seed := randData(1000, 6, 20)
@@ -35,6 +47,12 @@ func TestStreamBatchRoundTrip(t *testing.T) {
 		}
 		if !matrix.EqualApprox(back, batch, 1e-9) {
 			t.Fatalf("%d-row batch did not round-trip", rows)
+		}
+		if !matrix.Equal(inPlace(t, sp.ProtectInPlace, batch), rel) {
+			t.Fatalf("%d-row batch: ProtectInPlace differs from ProtectBatch", rows)
+		}
+		if !matrix.Equal(inPlace(t, sp.RecoverInPlace, rel), back) {
+			t.Fatalf("%d-row batch: RecoverInPlace differs from RecoverBatch", rows)
 		}
 	}
 }
@@ -114,7 +132,7 @@ func TestStreamCrossBatchIsometry(t *testing.T) {
 }
 
 // TestStreamWorkerInvariance: batch releases are bit-identical for any
-// worker count.
+// worker count, in place or into fresh memory.
 func TestStreamWorkerInvariance(t *testing.T) {
 	seed := randData(600, 6, 25)
 	res, err := New(1, 100).Protect(seed, ProtectOptions{Thresholds: tinyPST(), Seed: 17})
@@ -136,6 +154,9 @@ func TestStreamWorkerInvariance(t *testing.T) {
 			ref = rel
 		} else if !matrix.Equal(ref, rel) {
 			t.Fatalf("workers=%d: stream release differs", w)
+		}
+		if !matrix.Equal(inPlace(t, sp.ProtectInPlace, batch), ref) {
+			t.Fatalf("workers=%d: in-place stream release differs", w)
 		}
 	}
 }
@@ -205,5 +226,13 @@ func TestStreamRejectsNonFinite(t *testing.T) {
 	inf.SetAt(0, 0, math.Inf(-1))
 	if _, err := sp.ProtectBatch(inf); !errors.Is(err, core.ErrBadInput) {
 		t.Fatalf("ProtectBatch accepted Inf: %v", err)
+	}
+	for _, bad := range []*matrix.Dense{nan, inf} {
+		if err := sp.ProtectInPlace(bad.Clone()); !errors.Is(err, core.ErrBadInput) {
+			t.Fatalf("ProtectInPlace accepted non-finite input: %v", err)
+		}
+		if err := sp.RecoverInPlace(bad.Clone()); !errors.Is(err, core.ErrBadInput) {
+			t.Fatalf("RecoverInPlace accepted non-finite input: %v", err)
+		}
 	}
 }

@@ -265,22 +265,24 @@ func (f *FederationService) contributeStream(id, owner string, v federation.View
 	if err != nil {
 		return federation.View{}, classify(err)
 	}
+	// A wrong-width body is refused on its header, before any of its rows
+	// are buffered; every batch then has the schema's width.
+	if n := len(src.Names()); n != 0 && n != len(v.Columns) {
+		return federation.View{}, Invalid(fmt.Errorf("contribution has %d columns, federation schema has %d", n, len(v.Columns)))
+	}
+	batches := NewBatches(src, contributionBatchRows)
 	for {
-		batch, err := ReadBatch(src, contributionBatchRows)
+		batch, err := batches.Next()
 		if err != nil && !errors.Is(err, io.EOF) {
 			return federation.View{}, err
 		}
 		done := errors.Is(err, io.EOF)
 		if batch != nil {
-			if batch.Cols() != len(v.Columns) {
-				return federation.View{}, Invalid(fmt.Errorf("contribution has %d columns, federation schema has %d", batch.Cols(), len(v.Columns)))
-			}
-			out, err := sp.ProtectBatch(batch)
-			if err != nil {
+			if err := sp.ProtectInPlace(batch); err != nil {
 				return federation.View{}, classify(err)
 			}
-			for i := 0; i < out.Rows(); i++ {
-				if err := b.Append(out.RawRow(i)); err != nil {
+			for i := 0; i < batch.Rows(); i++ {
+				if err := b.Append(batch.RawRow(i)); err != nil {
 					return federation.View{}, classify(err)
 				}
 			}

@@ -143,19 +143,21 @@ type BatchTransformer struct {
 	// Owner and KeyVersion identify the transform for response metadata.
 	Owner      string
 	KeyVersion int
+	// Cols is the column count of every batch, which a caller can check
+	// against a stream's header before buffering any of its rows.
+	Cols int
 
-	fn      func(*matrix.Dense) (*matrix.Dense, error)
+	fn      func(*matrix.Dense) error
 	counter *metrics.Counter
 }
 
-// Transform converts one batch.
-func (t *BatchTransformer) Transform(batch *matrix.Dense) (*matrix.Dense, error) {
-	out, err := t.fn(batch)
-	if err != nil {
-		return nil, classify(err)
+// Transform converts one batch in place.
+func (t *BatchTransformer) Transform(batch *matrix.Dense) error {
+	if err := t.fn(batch); err != nil {
+		return classify(err)
 	}
-	t.counter.Add(int64(out.Rows()))
-	return out, nil
+	t.counter.Add(int64(batch.Rows()))
+	return nil
 }
 
 // StreamProtector returns a transformer that protects batches under
@@ -166,8 +168,8 @@ func (k *KeyService) StreamProtector(owner, version string) (*BatchTransformer, 
 		return nil, err
 	}
 	return &BatchTransformer{
-		Owner: owner, KeyVersion: entry.Version,
-		fn: sp.ProtectBatch, counter: k.c.rowsProtected,
+		Owner: owner, KeyVersion: entry.Version, Cols: sp.Cols(),
+		fn: sp.ProtectInPlace, counter: k.c.rowsProtected,
 	}, nil
 }
 
@@ -179,8 +181,8 @@ func (k *KeyService) Recoverer(owner, version string) (*BatchTransformer, error)
 		return nil, err
 	}
 	return &BatchTransformer{
-		Owner: owner, KeyVersion: entry.Version,
-		fn: sp.RecoverBatch, counter: k.c.rowsRecovered,
+		Owner: owner, KeyVersion: entry.Version, Cols: sp.Cols(),
+		fn: sp.RecoverInPlace, counter: k.c.rowsRecovered,
 	}, nil
 }
 
