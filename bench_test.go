@@ -473,8 +473,11 @@ func BenchmarkEngineRecoverParallel(b *testing.B) {
 }
 
 // BenchmarkStreamProtector measures incremental batch protection under a
-// frozen key — the ppclustd mode=stream hot path (1024-row batches, 16
-// attributes).
+// frozen key — the ppclustd mode=stream hot path. copy/1024x16 protects
+// 1024-row, 16-attribute batches into fresh memory (ProtectBatch);
+// inplace/4096x16 is the daemon's batch shape at its default -batch-rows,
+// refilled from the source and protected in place (ProtectInPlace), as
+// the pump reads each batch into its buffer and transforms it there.
 func BenchmarkStreamProtector(b *testing.B) {
 	seed := matrix.RandomDense(8192, 16, rand.New(rand.NewSource(42)))
 	res, err := engine.Default().Protect(seed, engine.ProtectOptions{
@@ -487,12 +490,28 @@ func BenchmarkStreamProtector(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	batch := matrix.RandomDense(1024, 16, rand.New(rand.NewSource(43)))
-	b.ReportAllocs()
-	b.SetBytes(int64(1024 * 16 * 8))
-	for i := 0; i < b.N; i++ {
-		if _, err := sp.ProtectBatch(batch); err != nil {
-			b.Fatal(err)
+	b.Run("copy/1024x16", func(b *testing.B) {
+		batch := matrix.RandomDense(1024, 16, rand.New(rand.NewSource(43)))
+		b.ResetTimer()
+		b.ReportAllocs()
+		b.SetBytes(int64(1024 * 16 * 8))
+		for i := 0; i < b.N; i++ {
+			if _, err := sp.ProtectBatch(batch); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("inplace/4096x16", func(b *testing.B) {
+		src := matrix.RandomDense(4096, 16, rand.New(rand.NewSource(44)))
+		batch := matrix.NewDense(4096, 16, nil)
+		b.ResetTimer()
+		b.ReportAllocs()
+		b.SetBytes(int64(4096 * 16 * 8))
+		for i := 0; i < b.N; i++ {
+			copy(batch.Raw(), src.Raw())
+			if err := sp.ProtectInPlace(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

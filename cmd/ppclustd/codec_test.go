@@ -4,10 +4,12 @@ package main
 // surface as an error from the reader — and, once a streaming response has
 // started, as an aborted connection — never as a silently truncated
 // dataset that parses cleanly. Also the CSV writer's byte identity with
-// encoding/csv, its allocation bound, and fuzz targets for the CSV reader
-// and a write-read round trip (seeds under testdata/fuzz).
+// encoding/csv, its allocation bound, and fuzz targets for the CSV reader,
+// a CSV write-read round trip and the NDJSON reader (seeds under
+// testdata/fuzz).
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/csv"
@@ -302,6 +304,58 @@ func FuzzCSVWriterRoundTrip(f *testing.F) {
 		}
 		if !slices.Equal(rr.Names(), names) {
 			t.Fatalf("names %q, wrote %q", rr.Names(), names)
+		}
+	})
+}
+
+// ndjsonErrClass names the ways an NDJSON body can end: cleanly, on a
+// line past the scanner's limit, or on a malformed row.
+func ndjsonErrClass(err error) string {
+	switch {
+	case errors.Is(err, io.EOF):
+		return "EOF"
+	case errors.Is(err, bufio.ErrTooLong):
+		return "too long"
+	}
+	return "other"
+}
+
+// FuzzNDJSONReader: for any body, the NDJSON reader's ReadRows into a
+// buffer of 1 to 9 rows yields exactly the rows Read yields, bit for bit,
+// and ends with the same class of error; neither panics. Seeds under
+// testdata/fuzz come from the NDJSON bodies the tests use, plus blank
+// lines, nulls, an empty first row, a ragged row and a truncated line.
+func FuzzNDJSONReader(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte, dstRows uint8) {
+		var want []float64
+		rd := newRowReader(formatNDJSON, bytes.NewReader(body))
+		var wantErr error
+		for wantErr == nil {
+			var row []float64
+			if row, wantErr = rd.Read(); wantErr == nil {
+				want = append(want, row...)
+			}
+		}
+		rr := newRowReader(formatNDJSON, bytes.NewReader(body))
+		cols := max(len(rr.Names()), 1)
+		dst := make([]float64, (1+int(dstRows%9))*cols)
+		var got []float64
+		var gotErr error
+		for gotErr == nil {
+			var n int
+			n, gotErr = rr.ReadRows(dst)
+			got = append(got, dst[:n*cols]...)
+		}
+		if ndjsonErrClass(gotErr) != ndjsonErrClass(wantErr) {
+			t.Fatalf("ReadRows ended with %v, Read with %v", gotErr, wantErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("ReadRows yielded %d values, Read %d", len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("value %d: ReadRows %#x, Read %#x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
 		}
 	})
 }

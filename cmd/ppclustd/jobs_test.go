@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -441,6 +442,38 @@ func TestProtectJobAndClusterProtected(t *testing.T) {
 	}
 	if !matrix.EqualApprox(parseCSVBody(t, rec), ds.Data, 1e-6) {
 		t.Fatal("released dataset did not recover to the original")
+	}
+}
+
+// A sweep job reports the silhouette its sweep scored for the chosen k,
+// bit for bit, without scoring it again; a fixed-k job still reports one.
+func TestSweepJobReusesSweepSilhouette(t *testing.T) {
+	ts, _ := newJobsServer(t)
+	_, tok := uploadDataset(t, ts, "alice", "d", "", "", blobsCSV(t, 300, 3, 8))
+	var out struct {
+		K          int             `json:"k"`
+		Silhouette *float64        `json:"silhouette"`
+		KScores    map[int]float64 `json:"k_scores"`
+	}
+	for _, spec := range []map[string]any{
+		{"type": "cluster", "dataset": "d", "kmin": 2, "kmax": 5},
+		{"type": "cluster", "dataset": "d", "k": 3},
+	} {
+		st := submitJob(t, ts, "alice", tok, spec)
+		if got := waitJob(t, ts, "alice", tok, st.ID); got.State != jobs.StateDone {
+			t.Fatalf("%v: %s: %s", spec, got.State, got.Error)
+		}
+		out.Silhouette, out.KScores = nil, nil
+		jobResult(t, ts, "alice", tok, st.ID, &out)
+		if out.Silhouette == nil {
+			t.Fatalf("%v: no silhouette in the result", spec)
+		}
+		if out.KScores == nil {
+			continue // fixed k
+		}
+		if want, ok := out.KScores[out.K]; !ok || math.Float64bits(*out.Silhouette) != math.Float64bits(want) {
+			t.Fatalf("sweep chose k=%d: silhouette %v, k_scores %v", out.K, *out.Silhouette, out.KScores)
+		}
 	}
 }
 

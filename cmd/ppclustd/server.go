@@ -426,9 +426,10 @@ func (s *server) handleRecover(w http.ResponseWriter, r *http.Request) {
 }
 
 // pump streams the request body through tr in batches of batchRows, all
-// in one per-request buffer: each batch is read into it, transformed in
-// place and written from it, as frames of exactly batchRows rows but the
-// last — the framing of a fit release of the same body.
+// in one buffer (pooled across requests by service.Batches): each batch
+// is read into it, transformed in place and written from it, as frames of
+// exactly batchRows rows but the last — the framing of a fit release of
+// the same body.
 func (s *server) pump(ctx context.Context, w http.ResponseWriter, format string, rr rowReader, tr *service.BatchTransformer) {
 	// Interleaving request-body reads with response writes needs explicit
 	// full-duplex mode on HTTP/1.x; without it the server closes the body
@@ -457,6 +458,7 @@ func (s *server) pump(ctx context.Context, w http.ResponseWriter, format string,
 		return
 	}
 	batches := service.NewBatches(rr, s.batchRows)
+	defer batches.Release()
 	for {
 		batch, err := batches.Next()
 		if err != nil && !errors.Is(err, io.EOF) {

@@ -14,12 +14,16 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"ppclust/internal/codec"
+	"ppclust/internal/engine"
+	"ppclust/internal/keyring"
 	"ppclust/internal/matrix"
 )
 
@@ -265,6 +269,126 @@ func TestBinaryProtectStreamMatchesCSV(t *testing.T) {
 			t.Fatalf("batch-rows %d: recover did not return the body", batchRows)
 		}
 	}
+}
+
+// TestStreamRejectsOverflowingRows: a finite row that the owner's frozen
+// key takes past float64's range is never released as ±Inf. Under a
+// z-score key fit on data scaled by 1e-6 (stds near 1e-6), a stream whose
+// first batch holds 1e305 is answered 400; one whose first batch is
+// finite and whose second holds 1e305 aborts the connection after the
+// first, as a NaN there does.
+func TestStreamRejectsOverflowingRows(t *testing.T) {
+	ts, s := newTestServer(t)
+	s.batchRows = 2
+	m := matrix.RandomDense(50, 4, rand.New(rand.NewSource(9)))
+	for i := range m.Raw() {
+		m.Raw()[i] *= 1e-6
+	}
+	resp, fit := postBinary(t, ts.URL+"/v1/protect?owner=tiny&seed=3", "", renderBody(t, formatBinary, m, 50))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fit: %d %s", resp.StatusCode, fit)
+	}
+	tok := token(t, resp)
+	withHuge := func(row int) []byte {
+		body := m.SubMatrix(0, 5, 0, 4)
+		body.SetAt(row, 0, 1e305)
+		return renderBody(t, formatBinary, body, 5)
+	}
+	url := ts.URL + "/v1/protect?owner=tiny&mode=stream&format=binary"
+	resp, rel := postBinary(t, url, tok, withHuge(0))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("overflowing first batch: %d (%d B), want 400", resp.StatusCode, len(rel))
+	}
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(withHuge(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", codec.ContentType)
+	req.Header.Set("Authorization", "Bearer "+tok)
+	hresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return // the abort may already surface at Do for small responses
+	}
+	defer hresp.Body.Close()
+	if hresp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d before the overflowing batch was reached", hresp.StatusCode)
+	}
+	if raw, err := io.ReadAll(hresp.Body); err == nil {
+		t.Fatalf("stream with an overflowing second batch ended cleanly after %d B; the connection must abort", len(raw))
+	}
+}
+
+// TestStreamBufferCarriesNothingAcrossRequests: the pump's batch buffer
+// is pooled across requests, and a batch covers only the rows its own
+// request sent. After a 20 000-row stream at the default -batch-rows
+// leaves a full buffer of one owner's rows, a 3-row stream from another
+// owner releases byte for byte that owner's fit release of the same body;
+// so does every stream of four clients alternating the two owners at
+// once, while buffers change hands between their requests.
+func TestStreamBufferCarriesNothingAcrossRequests(t *testing.T) {
+	s := newServerWith(t, engine.New(2, 0), keyring.NewMemory())
+	ts := httptest.NewServer(s.handler())
+	t.Cleanup(ts.Close)
+	type owner struct {
+		name, tok  string
+		body, want []byte
+	}
+	owners := []*owner{
+		{name: "bulk", body: renderBody(t, formatBinary, matrix.RandomDense(20000, 16, rand.New(rand.NewSource(12))), 20000)},
+		{name: "few", body: renderBody(t, formatBinary, matrix.RandomDense(3, 16, rand.New(rand.NewSource(13))), 3)},
+	}
+	for _, o := range owners {
+		resp, rel := postBinary(t, ts.URL+"/v1/protect?seed=4&rho1=0.01&rho2=0.01&owner="+o.name, "", o.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s fit: %d %s", o.name, resp.StatusCode, rel)
+		}
+		o.tok, o.want = token(t, resp), rel
+	}
+	// stream protects o's body and compares the release with o's fit
+	// release; it reports instead of failing, for use off the test's
+	// goroutine.
+	stream := func(o *owner) error {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/protect?mode=stream&owner="+o.name, bytes.NewReader(o.body))
+		if err != nil {
+			return err
+		}
+		req.Header.Set("Content-Type", codec.ContentType)
+		req.Header.Set("Authorization", "Bearer "+o.tok)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		rel, err := io.ReadAll(resp.Body)
+		switch {
+		case err != nil:
+			return fmt.Errorf("%s stream: %w", o.name, err)
+		case resp.StatusCode != http.StatusOK:
+			return fmt.Errorf("%s stream: %d %s", o.name, resp.StatusCode, rel)
+		case !bytes.Equal(rel, o.want):
+			return fmt.Errorf("%s stream release (%d B) differs from its fit release (%d B)", o.name, len(rel), len(o.want))
+		}
+		return nil
+	}
+	for i := 0; i < 6; i++ {
+		if err := stream(owners[i%2]); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				if err := stream(owners[(c+i)%2]); err != nil {
+					t.Errorf("client %d, request %d: %v", c, i, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
 }
 
 // TestRingForwardsBinaryBodies: a binary upload entering at a non-home

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -52,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sil, err := quality.Silhouette(protected.Released.Data, res.Assignments)
+	sil, err := quality.Silhouette(context.Background(), protected.Released.Data, res.Assignments)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -31,10 +31,11 @@ func ChooseKBySilhouette(data *matrix.Dense, kmin, kmax int, seed int64) (*KSele
 }
 
 // SweepKBySilhouette is ChooseKBySilhouette for a served, long-running
-// workload: it honors ctx between candidates (a cancelled sweep returns
-// ctx.Err()), reports each candidate's score to onStep as it lands (nil to
-// skip), and additionally returns the winning candidate's full clustering
-// so callers do not pay for a recomputation of the chosen K. Candidate
+// workload: it honors ctx between candidates and inside each silhouette
+// (a cancelled sweep returns ctx.Err()), reports each candidate's score
+// to onStep as it lands (nil to skip), and additionally returns the
+// winning candidate's full clustering and, in Scores, its silhouette, so
+// callers do not pay for a recomputation of the chosen K. Candidate
 // seeding is identical to ChooseKBySilhouette, so both select the same K
 // on the same data.
 func SweepKBySilhouette(ctx context.Context, data *matrix.Dense, kmin, kmax int, seed int64, onStep func(k int, score float64)) (*KSelection, *Result, error) {
@@ -59,10 +60,15 @@ func SweepKBySilhouette(ctx context.Context, data *matrix.Dense, kmin, kmax int,
 		if err != nil {
 			return nil, nil, err
 		}
-		score, err := quality.Silhouette(data, res.Assignments)
+		score, err := quality.Silhouette(ctx, data, res.Assignments)
 		if err != nil {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
 			// A degenerate solution (k-means collapsed to one effective
-			// cluster) scores worst rather than aborting the sweep.
+			// cluster) scores worst rather than aborting the sweep. No
+			// silhouette of a labeling is exactly -1, so the mark is
+			// unambiguous.
 			score = -1
 		}
 		sel.Scores[k] = score

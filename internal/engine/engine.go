@@ -300,35 +300,20 @@ func pickPairAngle(pl *protectPlan, opts ProtectOptions, k int, curve *core.Vari
 	}, nil
 }
 
-// Recover inverts a release in one fused parallel pass: each worker undoes
-// the rotations in reverse order and the normalization for its row blocks.
-// It is bit-for-bit identical for any worker count, and accepts batches of
-// any size >= 1 (unlike Protect, it needs no statistics).
+// Recover inverts a release into fresh memory: StreamProtector's
+// RecoverBatch under s, so each worker undoes the rotations in reverse
+// order and the normalization for its row blocks. It is bit-for-bit
+// identical for any worker count, accepts batches of any size >= 1
+// (unlike Protect, it needs no statistics) and, like a stream recover,
+// rejects a batch whose recovered values would carry NaN or Inf.
 func (e *Engine) Recover(released *matrix.Dense, s Secret) (*matrix.Dense, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	m, n := released.Dims()
-	if want := s.Cols(); n != want {
+	if n, want := released.Cols(), s.Cols(); n != want {
 		return nil, fmt.Errorf("%w: %d columns for a %d-column secret", core.ErrBadInput, n, want)
 	}
-	cths, sths := anglesToCosSin(s.Key.AnglesDeg)
-	out := matrix.NewDense(m, n, nil)
-	e.forBlocks(m, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			row := out.RawRow(r)
-			copy(row, released.RawRow(r))
-			for k := len(s.Key.Pairs) - 1; k >= 0; k-- {
-				p := s.Key.Pairs[k]
-				// Inverse rotation: R(-θ), i.e. the transpose of Eq. (1).
-				ai, aj := row[p.I], row[p.J]
-				row[p.I] = cths[k]*ai - sths[k]*aj
-				row[p.J] = sths[k]*ai + cths[k]*aj
-			}
-			denormalizeRow(row, s)
-		}
-	})
-	return out, nil
+	return e.newStreamProtector(s).RecoverBatch(released)
 }
 
 // fitZScore computes per-column means/stds and rejects zero-variance
@@ -380,20 +365,6 @@ func normalizeRow(row []float64, s Secret) {
 // rotation being the only difference) — this is the exported half an
 // evaluate workload needs to reproduce that comparison.
 func (s Secret) NormalizeRow(row []float64) { normalizeRow(row, s) }
-
-// denormalizeRow inverts normalizeRow in place.
-func denormalizeRow(row []float64, s Secret) {
-	switch s.Normalization {
-	case NormZScore:
-		for j, v := range row {
-			row[j] = v*s.ParamsB[j] + s.ParamsA[j]
-		}
-	case NormMinMax:
-		for j, v := range row {
-			row[j] = v*(s.ParamsB[j]-s.ParamsA[j]) + s.ParamsA[j]
-		}
-	}
-}
 
 // columnMeansStds reduces per-column means and standard deviations in two
 // blocked passes.
@@ -570,14 +541,4 @@ func CryptoSeed() (int64, error) {
 		return 0, fmt.Errorf("engine: seeding angle randomness: %w", err)
 	}
 	return int64(binary.LittleEndian.Uint64(b[:])), nil
-}
-
-func anglesToCosSin(anglesDeg []float64) (cths, sths []float64) {
-	cths = make([]float64, len(anglesDeg))
-	sths = make([]float64, len(anglesDeg))
-	for k, a := range anglesDeg {
-		rad := rotate.Degrees(a)
-		cths[k], sths[k] = math.Cos(rad), math.Sin(rad)
-	}
-	return cths, sths
 }

@@ -7,6 +7,7 @@ import (
 
 	"ppclust/internal/core"
 	"ppclust/internal/matrix"
+	"ppclust/internal/rotate"
 )
 
 // StreamProtector protects record batches incrementally under a frozen
@@ -18,6 +19,15 @@ import (
 // the isometry guarantee across batches, because every record ever pushed
 // through the same StreamProtector is rotated by the same orthogonal map.
 //
+// The kernel resolves everything the key fixes at construction: one
+// (i, j, cos, sin) entry per pair and the normalization's shift and scale
+// per column. It then walks each row of a block as a subslice of the
+// batch's one backing slice, with the fit path's per-element arithmetic
+// ((v-a)/b, (v-a)/(b-a), then colRotatePair's c*ai + s*aj and
+// -s*ai + c*aj), so a stream release is bit-identical to the fit release
+// of the same rows. Finiteness is checked on the values the kernel
+// writes, without a branch per value.
+//
 // Note the privacy caveat inherited from the paper's model: the PST was
 // verified on the fitting data. If the stream drifts far from the fitted
 // distribution, the achieved variances on later batches may differ from
@@ -26,8 +36,19 @@ type StreamProtector struct {
 	eng  *Engine
 	sec  Secret
 	cols int
-	cths []float64
-	sths []float64
+	// A value v normalizes to (v-shift[j])/scale[j] and denormalizes to
+	// v*scale[j]+shift[j]; both are nil for NormNone. scale holds the
+	// stds (zscore) or the max-min ranges (minmax): a range computed once
+	// has the bits the per-element b-a has.
+	shift, scale []float64
+	// rots is the key's rotation table, in application order.
+	rots []pairRot
+}
+
+// pairRot is one pair rotation: columns i and j, cos θ and sin θ.
+type pairRot struct {
+	i, j int
+	c, s float64
 }
 
 // NewStreamProtector builds a stream protector from a frozen secret. The
@@ -39,8 +60,26 @@ func (e *Engine) NewStreamProtector(s Secret) (*StreamProtector, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	cths, sths := anglesToCosSin(s.Key.AnglesDeg)
-	return &StreamProtector{eng: e, sec: s, cols: s.Cols(), cths: cths, sths: sths}, nil
+	return e.newStreamProtector(s), nil
+}
+
+// newStreamProtector builds the kernel's tables for a validated secret.
+func (e *Engine) newStreamProtector(s Secret) *StreamProtector {
+	sp := &StreamProtector{eng: e, sec: s, cols: s.Cols(), rots: make([]pairRot, len(s.Key.Pairs))}
+	switch s.Normalization {
+	case NormZScore:
+		sp.shift, sp.scale = s.ParamsA, s.ParamsB
+	case NormMinMax:
+		sp.shift, sp.scale = s.ParamsA, make([]float64, len(s.ParamsA))
+		for j := range sp.scale {
+			sp.scale[j] = s.ParamsB[j] - s.ParamsA[j]
+		}
+	}
+	for k, p := range s.Key.Pairs {
+		rad := rotate.Degrees(s.Key.AnglesDeg[k])
+		sp.rots[k] = pairRot{i: p.I, j: p.J, c: math.Cos(rad), s: math.Sin(rad)}
+	}
+	return sp
 }
 
 // Secret returns a copy of the frozen inversion state.
@@ -79,78 +118,89 @@ func (sp *StreamProtector) RecoverBatch(rows *matrix.Dense) (*matrix.Dense, erro
 
 // ProtectInPlace releases one batch of rows (any count) over its own
 // memory: each row is normalized with the frozen parameters and rotated
-// by the frozen key in one pass over the engine's row blocks. Batches
-// containing NaN or Inf are rejected, matching the fitting path's contract
-// that a release never carries non-finite values; the batch's contents are
-// then unspecified.
+// by the frozen key in one pass over the engine's row blocks. A batch
+// whose release would carry NaN or Inf is rejected, matching the fitting
+// path's contract that a release never carries non-finite values: a
+// non-finite input never rotates into a finite output (cos² + sin² = 1),
+// and a finite value that normalizes or rotates past float64's range
+// lands as ±Inf, so checking the written values catches both. The batch's
+// contents are then unspecified.
 func (sp *StreamProtector) ProtectInPlace(rows *matrix.Dense) error {
-	if err := sp.checkCols(rows); err != nil {
-		return err
-	}
-	var bad atomic.Bool
-	sp.eng.forBlocks(rows.Rows(), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			row := rows.RawRow(r)
-			if !finite(row) {
-				bad.Store(true)
+	n, shift, scale, rots := sp.cols, sp.shift, sp.scale, sp.rots
+	return sp.eachBlock(rows, func(blk []float64, m int) (check float64) {
+		for r := 0; r < m; r++ {
+			row := blk[r*n : r*n+n : r*n+n]
+			if shift != nil {
+				shift, scale := shift[:len(row)], scale[:len(row)]
+				for j, v := range row {
+					row[j] = (v - shift[j]) / scale[j]
+				}
 			}
-			normalizeRow(row, sp.sec)
-			for k, p := range sp.sec.Key.Pairs {
-				ai, aj := row[p.I], row[p.J]
-				row[p.I] = sp.cths[k]*ai + sp.sths[k]*aj
-				row[p.J] = -sp.sths[k]*ai + sp.cths[k]*aj
+			for _, p := range rots {
+				ai, aj := row[p.i], row[p.j]
+				row[p.i] = p.c*ai + p.s*aj
+				row[p.j] = -p.s*ai + p.c*aj
 			}
+			check += finiteCheck(row)
 		}
+		return check
 	})
-	return nonFinite(&bad)
 }
 
-// RecoverInPlace inverts ProtectInPlace over the batch's own memory, using
-// the same fused pass and precomputed rotation tables (the secret was
-// validated once at construction). Like ProtectInPlace it rejects
-// non-finite input.
+// RecoverInPlace inverts ProtectInPlace over the batch's own memory: the
+// rotations in reverse order, R(-θ), then the normalization. Like
+// ProtectInPlace it rejects a batch whose recovered values would carry
+// NaN or Inf.
 func (sp *StreamProtector) RecoverInPlace(rows *matrix.Dense) error {
-	if err := sp.checkCols(rows); err != nil {
-		return err
+	n, shift, scale, rots := sp.cols, sp.shift, sp.scale, sp.rots
+	return sp.eachBlock(rows, func(blk []float64, m int) (check float64) {
+		for r := 0; r < m; r++ {
+			row := blk[r*n : r*n+n : r*n+n]
+			for k := len(rots) - 1; k >= 0; k-- {
+				p := rots[k]
+				ai, aj := row[p.i], row[p.j]
+				row[p.i] = p.c*ai - p.s*aj
+				row[p.j] = p.s*ai + p.c*aj
+			}
+			if shift != nil {
+				shift, scale := shift[:len(row)], scale[:len(row)]
+				for j, v := range row {
+					row[j] = v*scale[j] + shift[j]
+				}
+			}
+			check += finiteCheck(row)
+		}
+		return check
+	})
+}
+
+// eachBlock checks that rows has the stream's width, runs kernel over
+// every engine row block of rows, as the block's span of the backing
+// slice and its row count, and fails the batch when a kernel returns
+// NaN: the sum of its rows' finiteCheck.
+func (sp *StreamProtector) eachBlock(rows *matrix.Dense, kernel func(blk []float64, m int) float64) error {
+	raw, n := rows.Raw(), sp.cols
+	if rows.Cols() != n {
+		return fmt.Errorf("%w: batch has %d columns, stream expects %d", core.ErrBadInput, rows.Cols(), n)
 	}
 	var bad atomic.Bool
 	sp.eng.forBlocks(rows.Rows(), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			row := rows.RawRow(r)
-			if !finite(row) {
-				bad.Store(true)
-			}
-			for k := len(sp.sec.Key.Pairs) - 1; k >= 0; k-- {
-				p := sp.sec.Key.Pairs[k]
-				ai, aj := row[p.I], row[p.J]
-				row[p.I] = sp.cths[k]*ai - sp.sths[k]*aj
-				row[p.J] = sp.sths[k]*ai + sp.cths[k]*aj
-			}
-			denormalizeRow(row, sp.sec)
+		if check := kernel(raw[lo*n:hi*n], hi-lo); check != check {
+			bad.Store(true)
 		}
 	})
-	return nonFinite(&bad)
-}
-
-func (sp *StreamProtector) checkCols(rows *matrix.Dense) error {
-	if n := rows.Cols(); n != sp.cols {
-		return fmt.Errorf("%w: batch has %d columns, stream expects %d", core.ErrBadInput, n, sp.cols)
-	}
-	return nil
-}
-
-func finite(row []float64) bool {
-	for _, v := range row {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
-
-func nonFinite(bad *atomic.Bool) error {
 	if bad.Load() {
-		return fmt.Errorf("%w: data contains NaN or Inf", core.ErrBadInput)
+		return fmt.Errorf("%w: data contains NaN or Inf, or overflows under the key's transform", core.ErrBadInput)
 	}
 	return nil
+}
+
+// finiteCheck returns 0 when every value of row is finite and NaN
+// otherwise: v-v is 0 for a finite v and NaN for NaN or ±Inf, and a NaN
+// term keeps the sum NaN.
+func finiteCheck(row []float64) (sum float64) {
+	for _, v := range row {
+		sum += v - v
+	}
+	return sum
 }

@@ -106,7 +106,9 @@ func TestOwnerIsolation(t *testing.T) {
 }
 
 // TestPerOwnerFairness: with one worker, owner B's single job must run
-// after at most one of owner A's flood, not after all of them.
+// after at most one of owner A's flood, not after all of them. A job of
+// owner Z holds the worker while the flood and B's job queue, so the
+// first pop sees both owners whatever the goroutine schedule.
 func TestPerOwnerFairness(t *testing.T) {
 	m := New(Config{Workers: 1})
 	defer m.Close()
@@ -118,6 +120,11 @@ func TestPerOwnerFairness(t *testing.T) {
 		done <- task.Owner
 		return nil, nil
 	})
+	z, err := m.Submit("z", "step", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, "z", z.ID, StateRunning)
 	// Flood A first, then a single B job.
 	for i := 0; i < 4; i++ {
 		if _, err := m.Submit("a", "step", nil); err != nil {
@@ -127,11 +134,15 @@ func TestPerOwnerFairness(t *testing.T) {
 	if _, err := m.Submit("b", "step", nil); err != nil {
 		t.Fatal(err)
 	}
+	gate <- struct{}{}
+	if got := <-done; got != "z" {
+		t.Fatalf("first job run was %s's, want z's", got)
+	}
 	for i := 0; i < 5; i++ {
 		gate <- struct{}{}
 		order = append(order, <-done)
 	}
-	// First pop predates b's arrival; b must run second, not fifth.
+	// A queued first, so its job runs first; b must run second, not fifth.
 	if order[0] != "a" || order[1] != "b" {
 		t.Fatalf("run order = %v, want b interleaved at position 2", order)
 	}

@@ -6,6 +6,7 @@
 package quality
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -262,7 +263,11 @@ func NMI(a, b []int) (float64, error) {
 // pair distance is computed once, and every (row, cluster) sum receives
 // its terms in ascending row order, so the value is bit-for-bit the one a
 // row-by-row pass over a distance matrix gives.
-func Silhouette(data *matrix.Dense, labels []int) (float64, error) {
+//
+// It checks ctx before each block of silhouetteBlock grouped rows and
+// returns ctx.Err() once ctx is done, so a cancelled job stops within one
+// block's O(silhouetteBlock·m·d) work.
+func Silhouette(ctx context.Context, data *matrix.Dense, labels []int) (float64, error) {
 	m, d := data.Rows(), data.Cols()
 	if len(labels) != m {
 		return 0, fmt.Errorf("%w: %d labels for %d rows", ErrLabels, len(labels), m)
@@ -313,6 +318,11 @@ func Silhouette(data *matrix.Dense, labels []int) (float64, error) {
 	sums := make([]float64, start[k]*k)
 	for cp := 0; cp < k; cp++ {
 		for p := start[cp]; p < start[cp+1]; p++ {
+			if p%silhouetteBlock == 0 {
+				if err := ctx.Err(); err != nil {
+					return 0, err
+				}
+			}
 			rp := g[p*d : p*d+d]
 			for cq := 0; cq <= cp; cq++ {
 				end := start[cq+1]
@@ -363,6 +373,10 @@ func Silhouette(data *matrix.Dense, labels []int) (float64, error) {
 	}
 	return sum / float64(n), nil
 }
+
+// silhouetteBlock is how many grouped rows Silhouette scores between
+// context checks.
+const silhouetteBlock = 256
 
 // SameClustering reports whether two labelings are identical up to label
 // permutation (zero misclassification error).

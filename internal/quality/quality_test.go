@@ -1,6 +1,7 @@
 package quality
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -8,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"ppclust/internal/dist"
 	"ppclust/internal/matrix"
@@ -242,7 +244,7 @@ func TestNMI(t *testing.T) {
 func TestSilhouette(t *testing.T) {
 	// Two tight, well-separated pairs: silhouette near 1.
 	data := matrix.FromRows([][]float64{{0}, {0.1}, {10}, {10.1}})
-	s, err := Silhouette(data, []int{0, 0, 1, 1})
+	s, err := Silhouette(context.Background(), data, []int{0, 0, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +252,7 @@ func TestSilhouette(t *testing.T) {
 		t.Fatalf("silhouette = %v, want near 1", s)
 	}
 	// Bad clustering: negative silhouette.
-	sBad, err := Silhouette(data, []int{0, 1, 0, 1})
+	sBad, err := Silhouette(context.Background(), data, []int{0, 1, 0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,20 +263,20 @@ func TestSilhouette(t *testing.T) {
 
 func TestSilhouetteErrors(t *testing.T) {
 	data := matrix.FromRows([][]float64{{0}, {1}})
-	if _, err := Silhouette(data, []int{0}); !errors.Is(err, ErrLabels) {
+	if _, err := Silhouette(context.Background(), data, []int{0}); !errors.Is(err, ErrLabels) {
 		t.Fatal("length mismatch should fail")
 	}
-	if _, err := Silhouette(data, []int{0, 0}); !errors.Is(err, ErrLabels) {
+	if _, err := Silhouette(context.Background(), data, []int{0, 0}); !errors.Is(err, ErrLabels) {
 		t.Fatal("single cluster should fail")
 	}
-	if _, err := Silhouette(data, []int{-1, -1}); !errors.Is(err, ErrLabels) {
+	if _, err := Silhouette(context.Background(), data, []int{-1, -1}); !errors.Is(err, ErrLabels) {
 		t.Fatal("all-noise should fail")
 	}
 }
 
 func TestSilhouetteExcludesNoise(t *testing.T) {
 	data := matrix.FromRows([][]float64{{0}, {0.1}, {10}, {10.1}, {500}})
-	withNoise, err := Silhouette(data, []int{0, 0, 1, 1, -1})
+	withNoise, err := Silhouette(context.Background(), data, []int{0, 0, 1, 1, -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +379,7 @@ func TestSilhouetteMatchesReference(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			labels[rng.Intn(m)] = 7777 // a singleton cluster
 		}
-		got, gotErr := Silhouette(data, labels)
+		got, gotErr := Silhouette(context.Background(), data, labels)
 		want, wantErr := silhouetteReference(data, labels)
 		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
 			t.Fatalf("seed %d: error %v, reference %v", seed, gotErr, wantErr)
@@ -411,7 +413,7 @@ func TestSilhouetteMemory(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, err := Silhouette(data, labels); err != nil {
+	if _, err := Silhouette(context.Background(), data, labels); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -420,11 +422,25 @@ func TestSilhouetteMemory(t *testing.T) {
 	}
 }
 
+// A cancelled context stops Silhouette at its next row block: at
+// 20 000×5, where the full pass takes seconds, an already-cancelled
+// context returns context.Canceled within 50 ms.
+func TestSilhouetteHonorsCancel(t *testing.T) {
+	data, labels := silhouetteFixture(20000, 5, 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	_, err := Silhouette(ctx, data, labels)
+	if took := time.Since(start); !errors.Is(err, context.Canceled) || took > 50*time.Millisecond {
+		t.Fatalf("cancelled silhouette: err %v after %v, want context.Canceled within 50ms", err, took)
+	}
+}
+
 func BenchmarkSilhouette(b *testing.B) {
 	data, labels := silhouetteFixture(2000, 5, 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Silhouette(data, labels); err != nil {
+		if _, err := Silhouette(context.Background(), data, labels); err != nil {
 			b.Fatal(err)
 		}
 	}

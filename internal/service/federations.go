@@ -271,6 +271,7 @@ func (f *FederationService) contributeStream(id, owner string, v federation.View
 		return federation.View{}, Invalid(fmt.Errorf("contribution has %d columns, federation schema has %d", n, len(v.Columns)))
 	}
 	batches := NewBatches(src, contributionBatchRows)
+	defer batches.Release()
 	for {
 		batch, err := batches.Next()
 		if err != nil && !errors.Is(err, io.EOF) {
@@ -512,7 +513,11 @@ func (f *FederationService) runFederatedCluster(ctx context.Context, t *jobs.Tas
 		Iterations:  res.Iterations,
 		Converged:   res.Converged,
 	}
-	if sil, err := quality.Silhouette(joint, res.Assignments); err == nil {
+	sil, err := quality.Silhouette(ctx, joint, res.Assignments)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err == nil {
 		out.Silhouette = &sil
 	}
 	return out, nil

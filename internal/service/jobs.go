@@ -399,7 +399,8 @@ func (j *JobService) runCluster(ctx context.Context, t *jobs.Task) (any, error) 
 	defer clSpan.End()
 	outcome := &ClusterOutcome{}
 	var res *cluster.Result
-	if spec.KMin != 0 || spec.KMax != 0 {
+	sweep := spec.KMin != 0 || spec.KMax != 0
+	if sweep {
 		seed := spec.ClustSeed
 		if seed == 0 {
 			seed = 1
@@ -415,6 +416,11 @@ func (j *JobService) runCluster(ctx context.Context, t *jobs.Task) (any, error) 
 		res = bestRes
 		outcome.Algorithm = "kmeans"
 		outcome.KScores = sel.Scores
+		// The sweep scored the chosen k already; -1 marks a degenerate
+		// clustering, which has no silhouette.
+		if sil := sel.Scores[sel.K]; sil > -1 {
+			outcome.Silhouette = &sil
+		}
 	} else {
 		c, err := buildClusterer(&spec)
 		if err != nil {
@@ -434,8 +440,14 @@ func (j *JobService) runCluster(ctx context.Context, t *jobs.Task) (any, error) 
 	outcome.Inertia = res.Inertia
 	outcome.Iterations = res.Iterations
 	outcome.Converged = res.Converged
-	if sil, err := quality.Silhouette(data, res.Assignments); err == nil {
-		outcome.Silhouette = &sil
+	if !sweep {
+		sil, err := quality.Silhouette(ctx, data, res.Assignments)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if err == nil {
+			outcome.Silhouette = &sil
+		}
 	}
 	return outcome, nil
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"ppclust/internal/matrix"
 )
@@ -144,19 +145,44 @@ func ReadRows(src RowSource, dst []float64) (int, error) {
 // Batches reads a RowSource in batches of up to a fixed number of rows,
 // every one into the same buffer, for callers that transform each batch
 // in place and are done with it before asking for the next. The buffer
-// grows toward a full batch as the first one's rows arrive
-// (matrix.GrowRows), so a header declaring thousands of columns reserves
-// only what its rows have sent.
+// comes from a pool shared by all requests and goes back on Release. A
+// batch covers only rows this reader has read, never a pooled buffer's
+// earlier contents. A pooled buffer holds as many whole rows as fit; past
+// those, and without one, the buffer grows toward a full batch as the
+// first one's rows arrive (matrix.GrowRows), so a header declaring
+// thousands of columns reserves only what its rows have sent.
 type Batches struct {
 	src   RowSource
 	limit int
 	buf   []float64
 }
 
+// maxPooledBatch is the largest buffer, in values, Release returns to the
+// pool: 4 MiB, eight default batches of 16 columns. Wider requests
+// allocate their own.
+const maxPooledBatch = 4 << 20 / 8
+
+// batchPool holds *[]float64 buffers of zero length for NewBatches.
+var batchPool sync.Pool
+
 // NewBatches returns a batch reader of src with up to limit rows per
-// batch.
+// batch. Call Release once done with the last batch.
 func NewBatches(src RowSource, limit int) *Batches {
-	return &Batches{src: src, limit: limit}
+	b := &Batches{src: src, limit: limit}
+	if p, ok := batchPool.Get().(*[]float64); ok {
+		b.buf = *p
+	}
+	return b
+}
+
+// Release gives the buffer back to the pool; no batch Next returned may
+// be used afterwards.
+func (b *Batches) Release() {
+	if c := cap(b.buf); c > 0 && c <= maxPooledBatch {
+		buf := b.buf[:0]
+		batchPool.Put(&buf)
+	}
+	b.buf = nil
 }
 
 // Next reads the next batch and returns it as a matrix over the shared
@@ -179,7 +205,11 @@ func (b *Batches) Next() (*matrix.Dense, error) {
 			if n == b.limit {
 				return matrix.NewDense(n, cols, b.buf), nil
 			}
-			b.buf = matrix.GrowRows(b.buf, cols, b.limit)
+			if rows := min(b.limit, cap(b.buf)/cols); rows > n {
+				b.buf = b.buf[:rows*cols]
+			} else {
+				b.buf = matrix.GrowRows(b.buf, cols, b.limit)
+			}
 		}
 		k, err := ReadRows(b.src, b.buf[n*cols:])
 		n += k
