@@ -66,9 +66,8 @@ func contentType(format string) string {
 }
 
 // rowReader is service.RowSource: Names reads the header (CSV, binary)
-// or first row (NDJSON) on first use; Read yields one fresh row at a
-// time; ReadRows parses whole rows straight into the caller's buffer.
-// Both end in io.EOF.
+// or first row (NDJSON) on first use; ReadRows parses whole rows straight
+// into the caller's buffer and ends in io.EOF.
 type rowReader = service.RowSource
 
 // rowWriter emits numeric rows a block at a time; the binary format
@@ -121,16 +120,6 @@ func (b *binaryWriter) WriteBatch(m *matrix.Dense) error { return b.bw.WriteBatc
 func (b *binaryWriter) Flush() error                     { return b.bw.Flush() }
 func (b *binaryWriter) Close() error                     { return b.bw.Close() }
 
-// readRow is Read for the text readers, which parse straight into a
-// caller's buffer: one fresh row through ReadRows.
-func readRow(rr rowReader) ([]float64, error) {
-	row := make([]float64, len(rr.Names()))
-	if _, err := rr.ReadRows(row); err != nil {
-		return nil, err
-	}
-	return row, nil
-}
-
 // csvReader parses a header row of names followed by numeric records.
 type csvReader struct {
 	cr    *csv.Reader
@@ -149,8 +138,6 @@ func (c *csvReader) Names() []string {
 	}
 	return c.names
 }
-
-func (c *csvReader) Read() ([]float64, error) { return readRow(c) }
 
 func (c *csvReader) ReadRows(dst []float64) (int, error) {
 	if c.Names() == nil {
@@ -228,8 +215,6 @@ func (n *ndjsonReader) next(row []float64) ([]float64, error) {
 	}
 	return nil, io.EOF
 }
-
-func (n *ndjsonReader) Read() ([]float64, error) { return readRow(n) }
 
 func (n *ndjsonReader) ReadRows(dst []float64) (int, error) {
 	if n.Names() == nil {

@@ -26,15 +26,17 @@ import (
 	"ppclust/internal/matrix"
 )
 
-// drainRows reads rows until the first error, returning it and the count.
+// drainRows reads whole rows, three at a time, until the first error,
+// returning it and the count.
 func drainRows(rr rowReader) (int, error) {
+	dst := make([]float64, 3*len(rr.Names()))
 	n := 0
 	for {
-		_, err := rr.Read()
+		k, err := rr.ReadRows(dst)
+		n += k
 		if err != nil {
 			return n, err
 		}
-		n++
 	}
 }
 
@@ -237,17 +239,24 @@ func TestCSVWriterAllocations(t *testing.T) {
 }
 
 // FuzzCSVReader: the CSV row reader takes any body to EOF or an error
-// without panicking, and every row it yields has the header's width.
+// without panicking, and every ReadRows call yields whole rows of the
+// header's width: as many as fill its three-row buffer, fewer only
+// alongside an error.
 func FuzzCSVReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rr := newRowReader(formatCSV, bytes.NewReader(body))
+		cols := len(rr.Names())
+		dst := make([]float64, 3*cols)
 		for {
-			row, err := rr.Read()
+			n, err := rr.ReadRows(dst)
 			if err != nil {
+				if n*cols > len(dst) {
+					t.Fatalf("%d rows of %d values reported in a buffer of %d", n, cols, len(dst))
+				}
 				return
 			}
-			if len(row) != len(rr.Names()) {
-				t.Fatalf("row of %d values under %d names", len(row), len(rr.Names()))
+			if cols == 0 || n != 3 || len(rr.Names()) != cols {
+				t.Fatalf("%d rows of %d values (names now %d) with no error", n, cols, len(rr.Names()))
 			}
 		}
 	})
@@ -281,8 +290,19 @@ func FuzzCSVWriterRoundTrip(f *testing.F) {
 		}
 		body := buf.String()
 		rr := newRowReader(formatCSV, &buf)
-		for i := 0; ; i++ {
-			row, err := rr.Read()
+		dst := make([]float64, 3*n)
+		for i := 0; ; {
+			k, err := rr.ReadRows(dst)
+			if i+k > rows {
+				t.Fatalf("read more than the %d rows written from %q", rows, body)
+			}
+			for j, v := range dst[:k*n] {
+				w := vals[i*n+j]
+				if math.Float64bits(v) != math.Float64bits(w) && !(math.IsNaN(v) && math.IsNaN(w)) {
+					t.Fatalf("row %d col %d: wrote %v (%#x), read %v (%#x)", i+j/n, j%n, w, math.Float64bits(w), v, math.Float64bits(v))
+				}
+			}
+			i += k
 			if errors.Is(err, io.EOF) {
 				if i != rows {
 					t.Fatalf("read %d rows back, wrote %d", i, rows)
@@ -291,15 +311,6 @@ func FuzzCSVWriterRoundTrip(f *testing.F) {
 			}
 			if err != nil {
 				t.Fatalf("row %d of %q: %v", i, body, err)
-			}
-			if i >= rows {
-				t.Fatalf("read more than the %d rows written from %q", rows, body)
-			}
-			for j, v := range row {
-				w := vals[i*n+j]
-				if math.Float64bits(v) != math.Float64bits(w) && !(math.IsNaN(v) && math.IsNaN(w)) {
-					t.Fatalf("row %d col %d: wrote %v (%#x), read %v (%#x)", i, j, w, math.Float64bits(w), v, math.Float64bits(v))
-				}
 			}
 		}
 		if !slices.Equal(rr.Names(), names) {
@@ -321,18 +332,19 @@ func ndjsonErrClass(err error) string {
 }
 
 // FuzzNDJSONReader: for any body, the NDJSON reader's ReadRows into a
-// buffer of 1 to 9 rows yields exactly the rows Read yields, bit for bit,
-// and ends with the same class of error; neither panics. Seeds under
-// testdata/fuzz come from the NDJSON bodies the tests use, plus blank
-// lines, nulls, an empty first row, a ragged row and a truncated line.
+// buffer of 1 to 9 rows yields exactly the rows it yields into a fresh
+// one-row buffer per call, bit for bit, and ends with the same class of
+// error; neither panics. Seeds under testdata/fuzz come from the NDJSON
+// bodies the tests use, plus blank lines, nulls, an empty first row, a
+// ragged row and a truncated line.
 func FuzzNDJSONReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte, dstRows uint8) {
 		var want []float64
 		rd := newRowReader(formatNDJSON, bytes.NewReader(body))
 		var wantErr error
 		for wantErr == nil {
-			var row []float64
-			if row, wantErr = rd.Read(); wantErr == nil {
+			row := make([]float64, len(rd.Names()))
+			if _, wantErr = rd.ReadRows(row); wantErr == nil {
 				want = append(want, row...)
 			}
 		}
@@ -347,14 +359,14 @@ func FuzzNDJSONReader(f *testing.F) {
 			got = append(got, dst[:n*cols]...)
 		}
 		if ndjsonErrClass(gotErr) != ndjsonErrClass(wantErr) {
-			t.Fatalf("ReadRows ended with %v, Read with %v", gotErr, wantErr)
+			t.Fatalf("ReadRows ended with %v, row by row with %v", gotErr, wantErr)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("ReadRows yielded %d values, Read %d", len(got), len(want))
+			t.Fatalf("ReadRows yielded %d values, row by row %d", len(got), len(want))
 		}
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("value %d: ReadRows %#x, Read %#x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				t.Fatalf("value %d: ReadRows %#x, row by row %#x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 			}
 		}
 	})

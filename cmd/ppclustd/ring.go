@@ -489,9 +489,7 @@ func (rt *ringRuntime) shipTo(ctx context.Context, n ring.Node, ev service.Repli
 // sendDataset replicates one dataset to a peer, streaming the blocks as
 // framed binary batches (the same application/x-ppclust-rows format the
 // public API speaks, labels riding in the labeled frames) with the
-// dataset identity in query parameters. A peer that rejects the binary
-// body with a 4xx — an older build mid-upgrade — gets the legacy JSON
-// transfer instead, so mixed-version rings keep replicating.
+// dataset identity in query parameters.
 func (rt *ringRuntime) sendDataset(ctx context.Context, addr string, ds *datastore.Dataset) error {
 	var buf bytes.Buffer
 	if err := encodeDatasetFrames(&buf, ds); err != nil {
@@ -516,15 +514,6 @@ func (rt *ringRuntime) sendDataset(ctx context.Context, addr string, ds *datasto
 	resp.Body.Close()
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		return rerr
-	}
-	if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-		// Legacy peer: fall back to the JSON transfer.
-		tr, err := exportDataset(ds)
-		if err != nil {
-			return err
-		}
-		_, err = rt.roundTrip(ctx, addr, http.MethodPost, "/v1/ring/replicate/dataset", tr, nil)
-		return err
 	}
 	return fmt.Errorf("POST %s%s: %d: %s", addr, path, resp.StatusCode, strings.TrimSpace(string(raw)))
 }
@@ -552,10 +541,47 @@ func encodeDatasetFrames(w io.Writer, ds *datastore.Dataset) error {
 	return bw.Close()
 }
 
-// importDatasetStream is importDataset for the framed binary transfer:
-// last-writer-wins by ingest time, rebuilding through the Builder so
-// NaN/Inf screening matches every other ingest path.
+// importDatasetStream installs a dataset shipped as PPRW frames
+// last-writer-wins by ingest time: an older (or equal) incoming copy
+// never replaces a newer local one, so replays and races converge on the
+// newest write. The incoming copy is built in full first, through the
+// Builder, so NaN/Inf screening matches every other ingest path and a
+// transfer that breaks off or carries a bad row leaves the local copy as
+// it was.
 func (rt *ringRuntime) importDatasetStream(owner, name string, createdAt time.Time, rd *codec.Reader) error {
+	// Names before the first frame: once the stream has failed it has none.
+	attrs := rd.Names()
+	if attrs == nil {
+		_, _, err := rd.ReadBatch()
+		return fmt.Errorf("ring: transfer for %s/%s: %w", owner, name, err)
+	}
+	b, err := datastore.NewBuilder(owner, name, attrs)
+	if err != nil {
+		return err
+	}
+	for {
+		batch, labels, err := rd.ReadBatch()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return fmt.Errorf("ring: transfer for %s/%s: %w", owner, name, err)
+		}
+		for i := 0; i < batch.Rows(); i++ {
+			if rd.Labeled() {
+				err = b.AppendLabeled(batch.RawRow(i), labels[i])
+			} else {
+				err = b.Append(batch.RawRow(i))
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	ds, err := b.Finish(createdAt)
+	if err != nil {
+		return err
+	}
 	if cur, err := rt.store.Get(owner, name); err == nil {
 		if !cur.CreatedAt.Before(createdAt) {
 			return nil
@@ -564,47 +590,15 @@ func (rt *ringRuntime) importDatasetStream(owner, name string, createdAt time.Ti
 			return err
 		}
 	}
-	attrs := rd.Names()
-	if attrs == nil {
-		if _, _, err := rd.ReadLabeled(); err != nil {
-			return fmt.Errorf("ring: transfer for %s/%s: %w", owner, name, err)
-		}
-	}
-	b, err := datastore.NewBuilder(owner, name, attrs)
-	if err != nil {
-		return err
-	}
-	for {
-		row, label, err := rd.ReadLabeled()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("ring: transfer for %s/%s: %w", owner, name, err)
-		}
-		if rd.Labeled() {
-			err = b.AppendLabeled(row, label)
-		} else {
-			err = b.Append(row)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	ds, err := b.Finish(createdAt)
-	if err != nil {
-		return err
-	}
 	if err := rt.store.Put(ds); err != nil && !errors.Is(err, datastore.ErrExists) {
 		return err
 	}
 	return nil
 }
 
-// fetchDataset pulls one dataset from a peer during catch-up, asking for
-// the framed binary export and branching on the response content type —
-// an older peer ignores the format parameter and answers with the legacy
-// JSON transfer, which still imports.
+// fetchDataset pulls one dataset from a peer during catch-up as PPRW
+// frames. The format=binary parameter keeps a peer of an earlier build,
+// whose export answered JSON without it, answering with frames.
 func (rt *ringRuntime) fetchDataset(ctx context.Context, from ring.Node, owner, name string) error {
 	path := "/v1/ring/export/dataset?owner=" + url.QueryEscape(owner) +
 		"&name=" + url.QueryEscape(name) + "&format=" + formatBinary
@@ -625,89 +619,11 @@ func (rt *ringRuntime) fetchDataset(ctx context.Context, from ring.Node, owner, 
 		raw, _ := io.ReadAll(resp.Body)
 		return fmt.Errorf("GET %s%s: %d: %s", from.Addr, path, resp.StatusCode, strings.TrimSpace(string(raw)))
 	}
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), codec.ContentType) {
-		createdAt, err := time.Parse(time.RFC3339Nano, resp.Header.Get(hdrCreatedAt))
-		if err != nil {
-			return fmt.Errorf("parsing %s: %w", hdrCreatedAt, err)
-		}
-		return rt.importDatasetStream(owner, name, createdAt, codec.NewReader(resp.Body))
-	}
-	var tr datasetTransfer
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
-		return fmt.Errorf("decoding dataset transfer: %w", err)
-	}
-	return rt.importDataset(tr)
-}
-
-// datasetTransfer is the legacy JSON wire form of one replicated dataset,
-// kept for mixed-version rings (older peers neither send nor accept the
-// framed binary transfer).
-type datasetTransfer struct {
-	Owner     string      `json:"owner"`
-	Name      string      `json:"name"`
-	Attrs     []string    `json:"attrs"`
-	Labeled   bool        `json:"labeled"`
-	CreatedAt time.Time   `json:"created_at"`
-	Rows      [][]float64 `json:"rows"`
-	Labels    []int       `json:"labels,omitempty"`
-}
-
-func exportDataset(ds *datastore.Dataset) (datasetTransfer, error) {
-	tr := datasetTransfer{
-		Owner:     ds.Owner,
-		Name:      ds.Name,
-		Attrs:     ds.Attrs,
-		Labeled:   ds.Labeled,
-		CreatedAt: ds.CreatedAt,
-		Labels:    ds.Labels(),
-		Rows:      make([][]float64, 0, ds.Rows),
-	}
-	err := ds.Blocks(func(b *matrix.Dense) error {
-		for i := 0; i < b.Rows(); i++ {
-			tr.Rows = append(tr.Rows, append([]float64(nil), b.RawRow(i)...))
-		}
-		return nil
-	})
-	return tr, err
-}
-
-// importDataset installs a transferred dataset last-writer-wins by
-// ingest time: an older (or equal) incoming copy never replaces a newer
-// local one, so replays and races converge on the newest write.
-func (rt *ringRuntime) importDataset(in datasetTransfer) error {
-	if cur, err := rt.store.Get(in.Owner, in.Name); err == nil {
-		if !cur.CreatedAt.Before(in.CreatedAt) {
-			return nil
-		}
-		if err := rt.store.Delete(in.Owner, in.Name); err != nil && !errors.Is(err, datastore.ErrNotFound) {
-			return err
-		}
-	}
-	b, err := datastore.NewBuilder(in.Owner, in.Name, in.Attrs)
+	createdAt, err := time.Parse(time.RFC3339Nano, resp.Header.Get(hdrCreatedAt))
 	if err != nil {
-		return err
+		return fmt.Errorf("parsing %s: %w", hdrCreatedAt, err)
 	}
-	for i, row := range in.Rows {
-		if in.Labeled {
-			if i >= len(in.Labels) {
-				return fmt.Errorf("ring: transfer for %s/%s labeled but carries %d labels for %d rows", in.Owner, in.Name, len(in.Labels), len(in.Rows))
-			}
-			err = b.AppendLabeled(row, in.Labels[i])
-		} else {
-			err = b.Append(row)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	ds, err := b.Finish(in.CreatedAt)
-	if err != nil {
-		return err
-	}
-	if err := rt.store.Put(ds); err != nil && !errors.Is(err, datastore.ErrExists) {
-		return err
-	}
-	return nil
+	return rt.importDatasetStream(owner, name, createdAt, codec.NewReader(resp.Body))
 }
 
 // ---------------------------------------------------------------------
@@ -1124,31 +1040,19 @@ func (rt *ringRuntime) handleReplicateOwner(w http.ResponseWriter, r *http.Reque
 }
 
 func (rt *ringRuntime) handleReplicateDataset(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, rt.maxBody)
-	if strings.HasPrefix(r.Header.Get("Content-Type"), codec.ContentType) {
-		owner, name := r.URL.Query().Get("owner"), r.URL.Query().Get("name")
-		createdAt, err := time.Parse(time.RFC3339Nano, r.URL.Query().Get("created_at"))
-		if err != nil {
-			writeErr(w, service.Invalid(fmt.Errorf("parsing created_at: %w", err)))
-			return
-		}
-		if err := rt.importDatasetStream(owner, name, createdAt, codec.NewReader(body)); err != nil {
-			writeErr(w, service.Wrap(err))
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"imported": owner + "/" + name})
+	q := r.URL.Query()
+	owner, name := q.Get("owner"), q.Get("name")
+	createdAt, err := time.Parse(time.RFC3339Nano, q.Get("created_at"))
+	if err != nil {
+		writeErr(w, service.Invalid(fmt.Errorf("parsing created_at: %w", err)))
 		return
 	}
-	var in datasetTransfer
-	if err := json.NewDecoder(body).Decode(&in); err != nil {
-		writeErr(w, service.Invalid(fmt.Errorf("parsing dataset transfer: %w", err)))
-		return
-	}
-	if err := rt.importDataset(in); err != nil {
+	rd := codec.NewReader(http.MaxBytesReader(w, r.Body, rt.maxBody))
+	if err := rt.importDatasetStream(owner, name, createdAt, rd); err != nil {
 		writeErr(w, service.Wrap(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"imported": in.Owner + "/" + in.Name})
+	writeJSON(w, http.StatusOK, map[string]string{"imported": owner + "/" + name})
 }
 
 func (rt *ringRuntime) handleReplicateDatasetDelete(w http.ResponseWriter, r *http.Request) {
@@ -1207,23 +1111,12 @@ func (rt *ringRuntime) handleExportDataset(w http.ResponseWriter, r *http.Reques
 		writeErr(w, service.Wrap(err))
 		return
 	}
-	// Catch-up peers ask for the framed binary export; older peers send
-	// no format parameter and keep getting the legacy JSON transfer.
-	if q.Get("format") == formatBinary {
-		w.Header().Set("Content-Type", codec.ContentType)
-		w.Header().Set(hdrCreatedAt, ds.CreatedAt.Format(time.RFC3339Nano))
-		if err := encodeDatasetFrames(w, ds); err != nil {
-			rt.logger.Warn("ring export dataset abort", "owner", ds.Owner, "dataset", ds.Name, "err", err.Error())
-			panic(http.ErrAbortHandler)
-		}
-		return
+	w.Header().Set("Content-Type", codec.ContentType)
+	w.Header().Set(hdrCreatedAt, ds.CreatedAt.Format(time.RFC3339Nano))
+	if err := encodeDatasetFrames(w, ds); err != nil {
+		rt.logger.Warn("ring export dataset abort", "owner", ds.Owner, "dataset", ds.Name, "err", err.Error())
+		panic(http.ErrAbortHandler)
 	}
-	tr, err := exportDataset(ds)
-	if err != nil {
-		writeErr(w, service.Wrap(err))
-		return
-	}
-	writeJSON(w, http.StatusOK, tr)
 }
 
 // ---------------------------------------------------------------------

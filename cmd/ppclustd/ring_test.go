@@ -13,9 +13,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +28,7 @@ import (
 	"ppclust/internal/federation"
 	"ppclust/internal/jobs"
 	"ppclust/internal/keyring"
+	"ppclust/internal/matrix"
 	"ppclust/internal/ring"
 	"ppclust/internal/service"
 	"ppclust/ppclient"
@@ -624,6 +628,85 @@ func TestRingRestartCatchUp(t *testing.T) {
 	resp, body := getJSON(t, victim.srv.URL+"/v1/datasets/d2?owner="+owner, tok, &meta)
 	if resp.StatusCode != http.StatusOK || meta.Rows != orig.Rows() {
 		t.Fatalf("restarted home serving d2: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestRingImportKeepsCopyOnFailedTransfer: replication and catch-up
+// build an incoming dataset in full before they replace the local copy.
+// On a 1-node ring holding a labeled d, a later transfer cut 30 bytes
+// short and a later one carrying a NaN are refused and leave d
+// bit-identical, as do an equal and an older complete transfer; a later
+// complete one replaces d with its rows and labels.
+func TestRingImportKeepsCopyOnFailedTransfer(t *testing.T) {
+	nd := startRing(t, 1, 0, "")[0]
+	uploadDataset(t, nd.srv, "keeper", "d", "", "&labels=last", blobsCSV(t, 90, 3, 6))
+	// held is d's frames as a transfer would ship them, and its stamp.
+	held := func() (string, time.Time) {
+		t.Helper()
+		ds, err := nd.store.Get("keeper", "d")
+		if err != nil {
+			t.Fatalf("d: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := encodeDatasetFrames(&buf, ds); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), ds.CreatedAt
+	}
+	orig, created := held()
+	send := func(createdAt time.Time, body []byte) (int, string) {
+		t.Helper()
+		u := nd.srv.URL + "/v1/ring/replicate/dataset?owner=keeper&name=d&created_at=" +
+			url.QueryEscape(createdAt.Format(time.RFC3339Nano))
+		resp, raw := postBinary(t, u, "", body)
+		return resp.StatusCode, string(raw)
+	}
+	m := matrix.RandomDense(70, 4, rand.New(rand.NewSource(7)))
+	labels := make([]int, m.Rows())
+	for i := range labels {
+		labels[i] = i % 3
+	}
+	next := renderLabeled(t, m, labels, 16)
+	nan := m.Clone()
+	nan.SetAt(50, 2, math.NaN())
+	later := created.Add(time.Second)
+	refused := []struct {
+		name string
+		at   time.Time
+		body []byte
+	}{
+		{"cut 30 bytes short", later, next[:len(next)-30]},
+		{"carrying a NaN", later, renderLabeled(t, nan, labels, 16)},
+	}
+	for _, tc := range refused {
+		if code, msg := send(tc.at, tc.body); code < 400 {
+			t.Fatalf("later transfer %s: %d %s, want refused", tc.name, code, msg)
+		}
+		if got, heldAt := held(); got != orig || !heldAt.Equal(created) {
+			t.Fatalf("later transfer %s changed d", tc.name)
+		}
+	}
+	for _, at := range []time.Time{created, created.Add(-time.Second)} {
+		if code, msg := send(at, next); code != http.StatusOK {
+			t.Fatalf("transfer stamped %v: %d %s", at.Sub(created), code, msg)
+		}
+		if got, heldAt := held(); got != orig || !heldAt.Equal(created) {
+			t.Fatalf("transfer stamped %v replaced the newer d", at.Sub(created))
+		}
+	}
+	if code, msg := send(later, next); code != http.StatusOK {
+		t.Fatalf("later complete transfer: %d %s", code, msg)
+	}
+	ds, err := nd.store.Get("keeper", "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ds.Matrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ds.CreatedAt.Equal(later) || !bitIdentical(got, m) || !slices.Equal(ds.Labels(), labels) {
+		t.Fatal("later complete transfer did not replace d with its rows and labels")
 	}
 }
 

@@ -2,14 +2,11 @@ package main
 
 // HTTP-level coverage for the framed binary wire path: ingest parity
 // with the text formats (same stored bytes, same rejections), the
-// protect stream in binary end to end, forwarding binary bodies across
-// the ring, and the mixed-version replication fallback to the legacy
-// JSON transfer.
+// protect stream in binary end to end, and forwarding binary bodies
+// across the ring.
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -101,58 +98,62 @@ func bitIdentical(a, b *matrix.Dense) bool {
 
 // TestBinaryIngestMatchesCSV: the same matrix uploaded as CSV and as
 // framed binary stores identically — downloads in either format agree
-// byte for byte (text) and bit for bit (binary), across multiple
-// datastore blocks.
+// byte for byte (text) and bit for bit (binary). At 300 rows the
+// downloads span several 64-row response batches; at 9 000 the uploads
+// also span three 4 096-row read batches and two datastore blocks.
 func TestBinaryIngestMatchesCSV(t *testing.T) {
-	ts, _ := newTestServer(t) // batchRows=64 → several blocks for 300 rows
-	csvBody, orig := testCSV(t, 300, 1)
+	ts, _ := newTestServer(t) // batchRows=64 → several response batches
+	for _, n := range []int{300, 9000} {
+		csvBody, orig := testCSV(t, n, 1)
+		ownerCSV, ownerBin := fmt.Sprintf("wirecsv%d", n), fmt.Sprintf("wirebin%d", n)
 
-	_, tokCSV := uploadDataset(t, ts, "wirecsv", "d", "", "", csvBody)
-	names := []string{"age", "weight", "glucose", "systolic", "cholesterol"}[:orig.Cols()]
-	resp, _ := postBinary(t, ts.URL+"/v1/datasets?owner=wirebin&name=d", "", renderBinaryRows(t, names, orig))
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("binary upload: %d", resp.StatusCode)
-	}
-	tokBin := resp.Header.Get("X-Ppclust-Token")
+		_, tokCSV := uploadDataset(t, ts, ownerCSV, "d", "", "", csvBody)
+		names := []string{"age", "weight", "glucose", "systolic", "cholesterol"}[:orig.Cols()]
+		resp, _ := postBinary(t, ts.URL+"/v1/datasets?owner="+ownerBin+"&name=d", "", renderBinaryRows(t, names, orig))
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("%d rows: binary upload: %d", n, resp.StatusCode)
+		}
+		tokBin := resp.Header.Get("X-Ppclust-Token")
 
-	// CSV downloads of both datasets agree byte for byte.
-	respA, bodyA := getJSON(t, ts.URL+"/v1/datasets/d/rows?owner=wirecsv", tokCSV, nil)
-	respB, bodyB := getJSON(t, ts.URL+"/v1/datasets/d/rows?owner=wirebin", tokBin, nil)
-	if respA.StatusCode != http.StatusOK || respB.StatusCode != http.StatusOK {
-		t.Fatalf("rows: %d / %d", respA.StatusCode, respB.StatusCode)
-	}
-	// The header rows differ only if names differ; compare data rows.
-	rowsA := bodyA[strings.IndexByte(bodyA, '\n'):]
-	rowsB := bodyB[strings.IndexByte(bodyB, '\n'):]
-	if rowsA != rowsB {
-		t.Fatal("CSV download of binary-ingested dataset differs from CSV-ingested one")
-	}
+		// CSV downloads of both datasets agree byte for byte.
+		respA, bodyA := getJSON(t, ts.URL+"/v1/datasets/d/rows?owner="+ownerCSV, tokCSV, nil)
+		respB, bodyB := getJSON(t, ts.URL+"/v1/datasets/d/rows?owner="+ownerBin, tokBin, nil)
+		if respA.StatusCode != http.StatusOK || respB.StatusCode != http.StatusOK {
+			t.Fatalf("%d rows: rows: %d / %d", n, respA.StatusCode, respB.StatusCode)
+		}
+		// The header rows differ only if names differ; compare data rows.
+		rowsA := bodyA[strings.IndexByte(bodyA, '\n'):]
+		rowsB := bodyB[strings.IndexByte(bodyB, '\n'):]
+		if rowsA != rowsB {
+			t.Fatalf("%d rows: CSV download of binary-ingested dataset differs from CSV-ingested one", n)
+		}
 
-	// Binary download of the CSV-ingested dataset is bit-identical to
-	// the original values (CSV's 'g' rendering round-trips exactly).
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/datasets/d/rows?owner=wirecsv&format=binary", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Authorization", "Bearer "+tokCSV)
-	hresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(hresp.Body)
-	hresp.Body.Close()
-	if err != nil || hresp.StatusCode != http.StatusOK {
-		t.Fatalf("binary download: %d %v", hresp.StatusCode, err)
-	}
-	if ct := hresp.Header.Get("Content-Type"); ct != codec.ContentType {
-		t.Fatalf("binary download content type = %q", ct)
-	}
-	gotNames, got := decodeBinaryRows(t, raw)
-	if len(gotNames) != orig.Cols() {
-		t.Fatalf("names = %v", gotNames)
-	}
-	if !bitIdentical(got, orig) {
-		t.Fatal("binary download is not bit-identical to the uploaded values")
+		// Binary download of the CSV-ingested dataset is bit-identical to
+		// the original values (CSV's 'g' rendering round-trips exactly).
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/datasets/d/rows?owner="+ownerCSV+"&format=binary", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer "+tokCSV)
+		hresp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(hresp.Body)
+		hresp.Body.Close()
+		if err != nil || hresp.StatusCode != http.StatusOK {
+			t.Fatalf("%d rows: binary download: %d %v", n, hresp.StatusCode, err)
+		}
+		if ct := hresp.Header.Get("Content-Type"); ct != codec.ContentType {
+			t.Fatalf("%d rows: binary download content type = %q", n, ct)
+		}
+		gotNames, got := decodeBinaryRows(t, raw)
+		if len(gotNames) != orig.Cols() {
+			t.Fatalf("%d rows: names = %v", n, gotNames)
+		}
+		if !bitIdentical(got, orig) {
+			t.Fatalf("%d rows: binary download is not bit-identical to the uploaded values", n)
+		}
 	}
 }
 
@@ -420,52 +421,5 @@ func TestRingForwardsBinaryBodies(t *testing.T) {
 	}
 	if got := parseCSVBody(t, rows); !bitIdentical(got, orig) {
 		t.Fatal("rows read back through the ring differ from the binary upload")
-	}
-}
-
-// TestReplicationFallsBackToJSONPeer: a peer that rejects the binary
-// replication body with a 4xx — an older build mid-upgrade — gets the
-// legacy JSON transfer on the same call, so mixed-version rings keep
-// replicating.
-func TestReplicationFallsBackToJSONPeer(t *testing.T) {
-	nodes := startRing(t, 1, 0, "")
-	nd := nodes[0]
-
-	csvBody, orig := testCSV(t, 50, 4)
-	uploadDataset(t, nd.srv, "fbowner", "d", "", "", csvBody)
-	ds, err := nd.store.Get("fbowner", "d")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var sawBinary, sawJSON bool
-	var imported datasetTransfer
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost || r.URL.Path != "/v1/ring/replicate/dataset" {
-			t.Errorf("unexpected call %s %s", r.Method, r.URL.Path)
-			http.NotFound(w, r)
-			return
-		}
-		if strings.HasPrefix(r.Header.Get("Content-Type"), codec.ContentType) {
-			sawBinary = true
-			http.Error(w, `{"error":{"code":"invalid","message":"unknown content type"}}`, http.StatusBadRequest)
-			return
-		}
-		sawJSON = true
-		if err := json.NewDecoder(r.Body).Decode(&imported); err != nil {
-			t.Error(err)
-		}
-		w.WriteHeader(http.StatusOK)
-	}))
-	t.Cleanup(legacy.Close)
-
-	if err := nd.rt.sendDataset(context.Background(), legacy.URL, ds); err != nil {
-		t.Fatalf("sendDataset against legacy peer: %v", err)
-	}
-	if !sawBinary || !sawJSON {
-		t.Fatalf("binary tried = %v, json fallback = %v; want both", sawBinary, sawJSON)
-	}
-	if imported.Owner != "fbowner" || imported.Name != "d" || len(imported.Rows) != orig.Rows() {
-		t.Fatalf("legacy transfer = owner %q name %q rows %d", imported.Owner, imported.Name, len(imported.Rows))
 	}
 }

@@ -23,14 +23,16 @@
 // per-value conversion; big-endian hosts fall back to element-wise
 // encoding so the wire format stays portable.
 //
-// Reader.ReadRows is the batch contract: it fills a caller's buffer with
-// whole rows across frame boundaries, reading each payload straight from
-// the buffered wire, and returns short only with io.EOF or an error — the
-// daemon's stream pump reads every batch into one per-request buffer this
-// way. Read and ReadBatch decode into fresh memory instead, and grow a
-// frame's slice as its payload arrives (at most 512 KiB first, then
-// fourfold), so a header declaring a 256 MiB frame costs what the sender
-// actually sent.
+// Writer.WriteBatch is the only way rows go out: one batch frame per
+// call, straight from a matrix block. Reader.ReadRows is the batch
+// contract on the way in: it fills a caller's buffer with whole rows
+// across frame boundaries, reading each payload straight from the
+// buffered wire, and returns short only with io.EOF or an error — the
+// daemon's stream pump and dataset upload read every batch into one
+// pooled buffer this way. Read and ReadBatch decode into fresh memory
+// instead, and grow a frame's slice as its payload arrives (at most
+// 512 KiB first, then fourfold), so a header declaring a 256 MiB frame
+// costs what the sender actually sent.
 package codec
 
 import (
@@ -60,9 +62,6 @@ const (
 
 	frameBatch = 'B'
 	frameEnd   = 'E'
-
-	// defaultBatchRows is the row-buffering granularity of Writer.WriteRow.
-	defaultBatchRows = 4096
 
 	// maxCols, maxBatchRows and maxBatchSize bound what one header may
 	// declare. What the decoder allocates is bounded by the bytes that
@@ -100,7 +99,6 @@ type Writer struct {
 	cols    int
 	labeled bool
 	rows    uint64
-	pending []float64 // row-buffered values awaiting a batch frame
 	scratch [10]byte
 	started bool
 	closed  bool
@@ -171,20 +169,33 @@ func (w *Writer) writeFloats(vals []float64) error {
 	return nil
 }
 
-func (w *Writer) batchFrame(vals []float64, labels []int) error {
-	rows := len(vals) / w.cols
+// WriteBatch writes one batch frame straight from a matrix block —
+// the zero-copy path from the datastore's block cache to the socket.
+// The matrix's column count must equal the header's, and a labeled
+// stream takes one label per row.
+func (w *Writer) WriteBatch(b *matrix.Dense, labels []int) error {
+	if !w.started {
+		return errors.New("ppclust-rows: WriteBatch before WriteHeader")
+	}
+	if b.Cols() != w.cols {
+		return fmt.Errorf("ppclust-rows: batch has %d columns, header has %d", b.Cols(), w.cols)
+	}
+	rows := b.Rows()
+	if rows == 0 {
+		return nil
+	}
+	if w.labeled && len(labels) != rows {
+		return fmt.Errorf("ppclust-rows: %d labels for %d rows", len(labels), rows)
+	}
 	w.scratch[0] = frameBatch
 	binary.LittleEndian.PutUint32(w.scratch[1:5], uint32(rows))
 	if _, err := w.w.Write(w.scratch[:5]); err != nil {
 		return err
 	}
-	if err := w.writeFloats(vals); err != nil {
+	if err := w.writeFloats(b.Raw()); err != nil {
 		return err
 	}
 	if w.labeled {
-		if len(labels) != rows {
-			return fmt.Errorf("ppclust-rows: %d labels for %d rows", len(labels), rows)
-		}
 		for _, l := range labels {
 			binary.LittleEndian.PutUint64(w.scratch[:8], uint64(int64(l)))
 			if _, err := w.w.Write(w.scratch[:8]); err != nil {
@@ -196,60 +207,9 @@ func (w *Writer) batchFrame(vals []float64, labels []int) error {
 	return nil
 }
 
-// WriteBatch writes one batch frame straight from a matrix block —
-// the zero-copy path from the datastore's block cache to the socket.
-// The matrix's column count must equal the header's.
-func (w *Writer) WriteBatch(b *matrix.Dense, labels []int) error {
-	if !w.started {
-		return errors.New("ppclust-rows: WriteBatch before WriteHeader")
-	}
-	if b.Cols() != w.cols {
-		return fmt.Errorf("ppclust-rows: batch has %d columns, header has %d", b.Cols(), w.cols)
-	}
-	if b.Rows() == 0 {
-		return nil
-	}
-	if err := w.flushPending(); err != nil {
-		return err
-	}
-	return w.batchFrame(b.Raw(), labels)
-}
-
-// WriteRow buffers one row, emitting a batch frame per defaultBatchRows.
-func (w *Writer) WriteRow(row []float64) error {
-	if !w.started {
-		return errors.New("ppclust-rows: WriteRow before WriteHeader")
-	}
-	if len(row) != w.cols {
-		return fmt.Errorf("ppclust-rows: row has %d values, header has %d", len(row), w.cols)
-	}
-	if w.labeled {
-		return errors.New("ppclust-rows: WriteRow on a labeled stream")
-	}
-	w.pending = append(w.pending, row...)
-	if len(w.pending) >= defaultBatchRows*w.cols {
-		return w.flushPending()
-	}
-	return nil
-}
-
-func (w *Writer) flushPending() error {
-	if len(w.pending) == 0 {
-		return nil
-	}
-	err := w.batchFrame(w.pending, nil)
-	w.pending = w.pending[:0]
-	return err
-}
-
-// Flush emits any buffered rows as a batch frame and flushes the
-// underlying writer. The stream stays open for more batches.
-func (w *Writer) Flush() error {
-	if err := w.flushPending(); err != nil {
-		return err
-	}
-	return w.w.Flush()
-}
+// Flush flushes the frames written so far to the underlying writer. The
+// stream stays open for more batches.
+func (w *Writer) Flush() error { return w.w.Flush() }
 
 // Close writes the end frame and flushes. It does not close the
 // underlying writer. A stream abandoned without Close reads as
@@ -260,9 +220,6 @@ func (w *Writer) Close() error {
 	}
 	if !w.started {
 		return errors.New("ppclust-rows: Close before WriteHeader")
-	}
-	if err := w.flushPending(); err != nil {
-		return err
 	}
 	w.closed = true
 	w.scratch[0] = frameEnd
@@ -281,8 +238,8 @@ func (w *Writer) Close() error {
 //     it fills the caller's buffer with whole rows, straight from the
 //     buffered wire, across frame boundaries, and returns short only
 //     with io.EOF or an error.
-//   - Read, ReadLabeled and ReadBatch decode into fresh memory that stays
-//     valid after later calls. A frame's slice grows as its payload
+//   - Read and ReadBatch decode into fresh memory that stays valid after
+//     later calls. A frame's slice grows as its payload
 //     arrives (matrix.GrowRows), so what a stream makes the reader
 //     allocate tracks the bytes it has sent, not the sizes its headers
 //     declare. A 4 096×16 frame (512 KiB) decodes in one allocation.
@@ -506,28 +463,21 @@ func (r *Reader) decode() error {
 	return nil
 }
 
-// Read returns the next row. The returned slice is freshly backed per
-// decoded frame and remains valid after subsequent Reads.
+// Read returns the next row; a labeled stream's label is dropped, as
+// ReadRows drops it. The returned slice is freshly backed per decoded
+// frame and remains valid after subsequent Reads.
 func (r *Reader) Read() ([]float64, error) {
-	row, _, err := r.ReadLabeled()
-	return row, err
-}
-
-// ReadLabeled is Read plus the row's label on labeled streams (label is
-// 0 on unlabeled ones).
-func (r *Reader) ReadLabeled() ([]float64, int, error) {
 	if len(r.batch) == 0 {
 		if err := r.decode(); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 	}
 	row := r.batch[:r.cols:r.cols]
 	r.batch = r.batch[r.cols:]
-	label := 0
 	if r.labeled {
-		label, r.labels = r.labels[0], r.labels[1:]
+		r.labels = r.labels[1:]
 	}
-	return row, label, nil
+	return row, nil
 }
 
 // ReadBatch returns the remainder of the current batch frame (or the next

@@ -13,7 +13,8 @@ import (
 	"ppclust/internal/matrix"
 )
 
-// encode frames names+rows (and labels when non-nil) into a buffer.
+// encode frames names+rows (and labels when non-nil) into a buffer, the
+// rows as one batch frame.
 func encode(t *testing.T, names []string, rows [][]float64, labels []int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -21,20 +22,8 @@ func encode(t *testing.T, names []string, rows [][]float64, labels []int) []byte
 	if err := w.WriteHeader(names, labels != nil); err != nil {
 		t.Fatal(err)
 	}
-	if labels != nil {
-		flat := make([]float64, 0, len(rows)*len(names))
-		for _, r := range rows {
-			flat = append(flat, r...)
-		}
-		if err := w.WriteBatch(matrix.NewDense(len(rows), len(names), flat), labels); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		for _, r := range rows {
-			if err := w.WriteRow(r); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if err := w.WriteBatch(matrix.FromRows(rows), labels); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -44,8 +33,8 @@ func encode(t *testing.T, names []string, rows [][]float64, labels []int) []byte
 
 // TestRoundTripBitIdentical: every float64 bit pattern that can appear in
 // a dataset — subnormals, negative zero, extremes — survives the wire
-// unchanged, and rows stay valid after later Reads (the RowSource
-// contract the service's batch accumulation depends on).
+// unchanged, and rows stay valid after later Reads (ppclient keeps every
+// row it reads).
 func TestRoundTripBitIdentical(t *testing.T) {
 	rows := [][]float64{
 		{1.5, -2.25, 0},
@@ -143,10 +132,8 @@ func TestTruncationDetected(t *testing.T) {
 	if err := w.WriteHeader([]string{"a", "b"}, false); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
-		if err := w.WriteRow(r); err != nil {
-			t.Fatal(err)
-		}
+	if err := w.WriteBatch(matrix.FromRows(rows), nil); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil { // flush, never Close: an abort
 		t.Fatal(err)
@@ -242,8 +229,8 @@ func TestHeaderRejections(t *testing.T) {
 func TestWriterContract(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.WriteRow([]float64{1}); err == nil {
-		t.Error("WriteRow before header accepted")
+	if err := w.WriteBatch(matrix.NewDense(1, 2, nil), nil); err == nil {
+		t.Error("WriteBatch before header accepted")
 	}
 	if err := w.Close(); err == nil {
 		t.Error("Close before header accepted")
@@ -253,9 +240,6 @@ func TestWriterContract(t *testing.T) {
 	}
 	if err := w.WriteHeader([]string{"a", "b"}, false); err == nil {
 		t.Error("double header accepted")
-	}
-	if err := w.WriteRow([]float64{1}); err == nil {
-		t.Error("short row accepted")
 	}
 	if err := w.WriteBatch(matrix.NewDense(1, 3, nil), nil); err == nil {
 		t.Error("batch with wrong column count accepted")
@@ -271,26 +255,30 @@ func TestWriterContract(t *testing.T) {
 	if err := lw.WriteHeader([]string{"a"}, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := lw.WriteRow([]float64{1}); err == nil {
-		t.Error("WriteRow on a labeled stream accepted")
+	if err := lw.WriteBatch(matrix.NewDense(1, 1, []float64{1}), nil); err == nil {
+		t.Error("unlabeled batch on a labeled stream accepted")
 	}
 	if err := lw.WriteBatch(matrix.NewDense(2, 1, []float64{1, 2}), []int{5}); err == nil {
 		t.Error("label/row count mismatch accepted")
 	}
 }
 
-// TestRowBufferingBatches: WriteRow's internal buffering emits multiple
-// batch frames for large streams, and row identity survives the frame
-// boundaries.
+// TestRowBufferingBatches: a stream written as two batch frames, of
+// 4 096 and 137 rows, reads back row by row, and row identity survives
+// the frame boundary.
 func TestRowBufferingBatches(t *testing.T) {
-	const rows = defaultBatchRows + 137
+	const rows = 4096 + 137
+	vals := make([]float64, rows)
+	for i := range vals {
+		vals[i] = float64(i)
+	}
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	if err := w.WriteHeader([]string{"v"}, false); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < rows; i++ {
-		if err := w.WriteRow([]float64{float64(i)}); err != nil {
+	for _, frame := range [][]float64{vals[:4096], vals[4096:]} {
+		if err := w.WriteBatch(matrix.NewDense(len(frame), 1, frame), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,7 +296,7 @@ func TestRowBufferingBatches(t *testing.T) {
 		}
 	}
 	if _, err := rd.Read(); !errors.Is(err, io.EOF) {
-		t.Fatal("stream must end after the buffered rows")
+		t.Fatal("stream must end after the two frames")
 	}
 }
 

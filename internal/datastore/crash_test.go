@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -170,35 +171,25 @@ func TestDirReopenSweepsTempDirs(t *testing.T) {
 	}
 }
 
-// TestDirLegacyFormatStillLoads: a data dir written by the PR-2 era store
-// (one JSON document per dataset) survives the upgrade: it loads, reads
-// and deletes through the new store.
-func TestDirLegacyFormatStillLoads(t *testing.T) {
+// TestOpenDirRefusesOneDocumentDataset: a dataset in the one-document
+// format that preceded segments (one JSON document per dataset) fails
+// OpenDir with its path in the error — never loaded, never skipped
+// without a word — and the file is left where it was.
+func TestOpenDirRefusesOneDocumentDataset(t *testing.T) {
 	root := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(root, "alice"), 0o700); err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(root, "alice", "old.json")
 	doc := `{"version":1,"meta":{"owner":"alice","name":"old","rows":2,"cols":2,"attrs":["x","y"],"labeled":false,"created_at":"2025-01-01T00:00:00Z"},"data":[1,2,3,4]}`
-	if err := os.WriteFile(filepath.Join(root, "alice", "old.json"), []byte(doc), 0o600); err != nil {
+	if err := os.WriteFile(path, []byte(doc), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	d := openTestDir(t, root)
-	ds, err := d.Get("alice", "old")
-	if err != nil {
-		t.Fatal(err)
+	if _, err := OpenDir(root); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("OpenDir = %v, want an error naming %s", err, path)
 	}
-	m, err := ds.Matrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(1, 1) != 4 {
-		t.Fatalf("legacy data wrong: %v", m.RawRow(1))
-	}
-	if err := d.Delete("alice", "old"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(root, "alice", "old.json")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("legacy document must be removed by delete")
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("the refused document must stay in place: %v", err)
 	}
 }
 

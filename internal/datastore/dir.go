@@ -67,9 +67,6 @@ type manifestBatch struct {
 const (
 	manifestName    = "manifest"
 	manifestVersion = 2
-	// legacy PR-2 format: one JSON document per dataset.
-	legacySuffix  = ".json"
-	legacyVersion = 1
 )
 
 // OpenDir opens (or initializes) a directory-backed dataset store with
@@ -115,15 +112,17 @@ func OpenDirOptions(root string, opts DirOptions) (*Dir, error) {
 				_ = os.RemoveAll(filepath.Join(root, owner, f.Name()))
 				continue
 			}
-			var ds *Dataset
-			switch {
-			case f.IsDir() && ValidName(f.Name()) == nil:
-				ds, err = d.loadDataset(owner, f.Name())
-			case !f.IsDir() && strings.HasSuffix(f.Name(), legacySuffix):
-				ds, err = loadLegacy(filepath.Join(root, owner, f.Name()))
-			default:
+			// A *.json file is a dataset in the one-document format that
+			// preceded segments. This store cannot read it, and skipping
+			// it would drop a dataset without a word.
+			if !f.IsDir() && strings.HasSuffix(f.Name(), ".json") {
+				return nil, fmt.Errorf("datastore: %s is a one-document dataset, a format this store no longer reads; re-upload its rows and remove the file",
+					filepath.Join(root, owner, f.Name()))
+			}
+			if !f.IsDir() || ValidName(f.Name()) != nil {
 				continue
 			}
+			ds, err := d.loadDataset(owner, f.Name())
 			if err != nil {
 				return nil, err
 			}
@@ -401,56 +400,9 @@ func (d *Dir) Delete(owner, name string) error {
 	if err := os.RemoveAll(d.datasetDir(owner, name)); err != nil {
 		return fmt.Errorf("datastore: removing %s/%s: %w", owner, name, err)
 	}
-	// A dataset loaded from the legacy one-document format has no
-	// directory; its document is removed instead.
-	legacy := filepath.Join(d.root, owner, name+legacySuffix)
-	if err := os.Remove(legacy); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("datastore: removing %s: %w", legacy, err)
-	}
 	if err := sh.deleteLocked(owner, name); err != nil {
 		return err
 	}
 	d.cache.RemovePrefix(owner + "\x00" + name + "\x00")
 	return nil
-}
-
-// legacyDoc is the PR-2 on-disk schema: one JSON document per dataset
-// with the whole matrix flattened inline. Still readable so a data dir
-// written by an older daemon survives the upgrade; new writes always use
-// the segment layout.
-type legacyDoc struct {
-	Version int       `json:"version"`
-	Meta    Meta      `json:"meta"`
-	Labels  []int     `json:"labels,omitempty"`
-	Data    []float64 `json:"data"`
-}
-
-func loadLegacy(path string) (*Dataset, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("datastore: reading %s: %w", path, err)
-	}
-	var doc legacyDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, fmt.Errorf("datastore: parsing %s: %w", path, err)
-	}
-	if doc.Version != legacyVersion {
-		return nil, fmt.Errorf("datastore: %s has unsupported version %d", path, doc.Version)
-	}
-	m := doc.Meta
-	if m.Rows <= 0 || m.Cols <= 0 || len(doc.Data) != m.Rows*m.Cols {
-		return nil, fmt.Errorf("datastore: %s: %d values for a %dx%d dataset", path, len(doc.Data), m.Rows, m.Cols)
-	}
-	if m.Labeled != (doc.Labels != nil) || (doc.Labels != nil && len(doc.Labels) != m.Rows) {
-		return nil, fmt.Errorf("datastore: %s: inconsistent labels", path)
-	}
-	ds := &Dataset{Meta: m, labels: doc.Labels}
-	for lo := 0; lo < m.Rows; lo += DefaultBlockRows {
-		hi := min(lo+DefaultBlockRows, m.Rows)
-		ds.segs = append(ds.segs, segref{
-			rows:  hi - lo,
-			block: matrix.NewDense(hi-lo, m.Cols, doc.Data[lo*m.Cols:hi*m.Cols]),
-		})
-	}
-	return ds, nil
 }

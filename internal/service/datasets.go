@@ -5,14 +5,13 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
 	"ppclust/internal/datastore"
 	"ppclust/internal/keyring"
+	"ppclust/internal/matrix"
 	"ppclust/internal/obs"
 )
 
@@ -47,13 +46,16 @@ type UploadResult struct {
 	MintedToken string
 }
 
-// Upload ingests src as owner's named dataset. An unknown owner is
-// claimed (with a minted credential) only after the rows ingest cleanly —
-// a rejected upload must not burn the name with a token nobody received.
-// Known owners must be authorized by the caller before the body is read.
+// Upload ingests src as owner's named dataset, reading it in batches
+// through one pooled buffer as a stream contribution does. An unknown
+// owner is claimed (with a minted credential) only after the rows ingest
+// cleanly — a rejected upload must not burn the name with a token nobody
+// received. Known owners must be authorized by the caller before the body
+// is read.
 func (d *DatasetService) Upload(ctx context.Context, req UploadRequest, src RowSource) (UploadResult, error) {
-	// One span covers decode + ingest: rows stream straight from the wire
-	// decoder into the builder, so the two stages are not separable here.
+	// One span covers decode + ingest: each batch goes from the wire
+	// decoder into the builder before the next is read, so the two stages
+	// are not separable here.
 	_, span := obs.Start(ctx, "ingest")
 	defer span.End()
 	if err := keyring.ValidName(req.Owner); err != nil {
@@ -66,38 +68,40 @@ func (d *DatasetService) Upload(ctx context.Context, req UploadRequest, src RowS
 		return UploadResult{}, Invalid(fmt.Errorf("%w: %q — the fed. prefix is reserved for federation contributions", datastore.ErrBadName, req.Name))
 	}
 	var b *datastore.Builder
-	for {
-		row, err := src.Read()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return UploadResult{}, Invalid(err)
-		}
+	err := eachBatch(src, func(batch *matrix.Dense) error {
 		if b == nil {
 			attrs := src.Names()
 			if req.LabeledLast {
 				if len(attrs) < 2 {
-					return UploadResult{}, Invalid(fmt.Errorf("labels=last needs at least 2 columns"))
+					return Invalid(fmt.Errorf("labels=last needs at least 2 columns"))
 				}
 				attrs = attrs[:len(attrs)-1]
 			}
+			var err error
 			if b, err = datastore.NewBuilder(req.Owner, req.Name, attrs); err != nil {
-				return UploadResult{}, classify(err)
+				return classify(err)
 			}
 		}
-		if req.LabeledLast {
-			label, lerr := intLabel(row[len(row)-1])
-			if lerr != nil {
-				return UploadResult{}, Invalid(lerr)
+		for i := 0; i < batch.Rows(); i++ {
+			row := batch.RawRow(i)
+			var err error
+			if req.LabeledLast {
+				label, lerr := intLabel(row[len(row)-1])
+				if lerr != nil {
+					return Invalid(lerr)
+				}
+				err = b.AppendLabeled(row[:len(row)-1], label)
+			} else {
+				err = b.Append(row)
 			}
-			err = b.AppendLabeled(row[:len(row)-1], label)
-		} else {
-			err = b.Append(row)
+			if err != nil {
+				return classify(err)
+			}
 		}
-		if err != nil {
-			return UploadResult{}, classify(err)
-		}
+		return nil
+	})
+	if err != nil {
+		return UploadResult{}, err
 	}
 	if b == nil {
 		return UploadResult{}, Invalid(fmt.Errorf("empty dataset"))

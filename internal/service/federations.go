@@ -28,7 +28,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -42,10 +41,6 @@ import (
 	"ppclust/internal/obs"
 	"ppclust/internal/quality"
 )
-
-// contributionBatchRows sizes the stream-protect batches of a
-// contribution ingest.
-const contributionBatchRows = 4096
 
 // ContributionDataset names a federation contribution inside a party's
 // dataset namespace.
@@ -270,27 +265,19 @@ func (f *FederationService) contributeStream(id, owner string, v federation.View
 	if n := len(src.Names()); n != 0 && n != len(v.Columns) {
 		return federation.View{}, Invalid(fmt.Errorf("contribution has %d columns, federation schema has %d", n, len(v.Columns)))
 	}
-	batches := NewBatches(src, contributionBatchRows)
-	defer batches.Release()
-	for {
-		batch, err := batches.Next()
-		if err != nil && !errors.Is(err, io.EOF) {
-			return federation.View{}, err
+	err = eachBatch(src, func(batch *matrix.Dense) error {
+		if err := sp.ProtectInPlace(batch); err != nil {
+			return classify(err)
 		}
-		done := errors.Is(err, io.EOF)
-		if batch != nil {
-			if err := sp.ProtectInPlace(batch); err != nil {
-				return federation.View{}, classify(err)
-			}
-			for i := 0; i < batch.Rows(); i++ {
-				if err := b.Append(batch.RawRow(i)); err != nil {
-					return federation.View{}, classify(err)
-				}
+		for i := 0; i < batch.Rows(); i++ {
+			if err := b.Append(batch.RawRow(i)); err != nil {
+				return classify(err)
 			}
 		}
-		if done {
-			break
-		}
+		return nil
+	})
+	if err != nil {
+		return federation.View{}, err
 	}
 	ds, err := b.Finish(time.Now())
 	if err != nil {

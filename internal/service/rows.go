@@ -13,17 +13,15 @@ import (
 	"ppclust/internal/matrix"
 )
 
-// RowSource is a stream of numeric rows. cmd/ppclustd's CSV, NDJSON and
-// binary readers satisfy it; an embedding program can hand the services
-// an in-memory implementation (see SliceRows).
+// RowSource is a stream of numeric rows, read whole rows at a time.
+// cmd/ppclustd's CSV, NDJSON and binary readers satisfy it; an embedding
+// program can hand the services an in-memory implementation (see
+// SliceRows).
 type RowSource interface {
 	// Names returns the column names, reading the stream's header (or
 	// first row) if needed; nil when the stream is empty or unreadable,
 	// which the next read reports.
 	Names() []string
-	// Read returns the next row in memory that stays valid after later
-	// reads, or io.EOF at the end of the stream.
-	Read() ([]float64, error)
 	// ReadRows fills dst with whole rows of len(Names()) values and
 	// returns how many it filled; those rows are valid even alongside an
 	// error. It returns short only with io.EOF or an error.
@@ -41,25 +39,16 @@ type SliceRows struct {
 // Names implements RowSource.
 func (s *SliceRows) Names() []string { return s.Columns }
 
-// Read implements RowSource.
-func (s *SliceRows) Read() ([]float64, error) {
-	if s.next >= len(s.Rows) {
-		return nil, io.EOF
-	}
-	row := s.Rows[s.next]
-	s.next++
-	return row, nil
-}
-
 // ReadRows implements RowSource.
 func (s *SliceRows) ReadRows(dst []float64) (int, error) {
 	cols := len(s.Columns)
 	n := 0
 	for ; (n+1)*cols <= len(dst); n++ {
-		row, err := s.Read()
-		if err != nil {
-			return n, err
+		if s.next == len(s.Rows) {
+			return n, io.EOF
 		}
+		row := s.Rows[s.next]
+		s.next++
 		if len(row) != cols {
 			return n, fmt.Errorf("row has %d values, want %d", len(row), cols)
 		}
@@ -78,31 +67,41 @@ type frameSource interface {
 // into the flat backing slice so the largest requests are held in memory
 // once, not twice. A source of whole frames is read frame by frame: a
 // single frame becomes the matrix as decoded, and several are copied once
-// into a buffer of exactly their total size.
+// into a buffer of exactly their total size. Any other source fills whole
+// rows into a buffer grown as they arrive (matrix.GrowRows).
 func ReadAll(src RowSource) (*matrix.Dense, error) {
 	if fs, ok := src.(frameSource); ok {
 		return readFrames(fs)
 	}
+	cols := len(src.Names())
+	if cols == 0 {
+		// An empty stream, or an unreadable one: the read says which.
+		if _, err := ReadRows(src, nil); err != nil && !errors.Is(err, io.EOF) {
+			return nil, err
+		}
+		return nil, Invalid(fmt.Errorf("empty dataset"))
+	}
 	var flat []float64
-	var cols, rows int
+	rows := 0
 	for {
-		row, err := src.Read()
+		if len(flat) == rows*cols {
+			// Fourfold from 256 rows: a small body costs little, a large
+			// one about 4/3 of its final buffer.
+			flat = matrix.GrowRows(flat, cols, max(4*rows, 256))
+		}
+		n, err := ReadRows(src, flat[rows*cols:])
+		rows += n
 		if errors.Is(err, io.EOF) {
 			break
 		}
 		if err != nil {
-			return nil, Invalid(err)
+			return nil, err
 		}
-		if rows == 0 {
-			cols = len(row)
-		}
-		flat = append(flat, row...)
-		rows++
 	}
 	if rows == 0 {
 		return nil, Invalid(fmt.Errorf("empty dataset"))
 	}
-	return matrix.NewDense(rows, cols, flat), nil
+	return matrix.NewDense(rows, cols, flat[:rows*cols]), nil
 }
 
 func readFrames(src frameSource) (*matrix.Dense, error) {
@@ -140,6 +139,33 @@ func ReadRows(src RowSource, dst []float64) (int, error) {
 		return n, Invalid(err)
 	}
 	return n, err
+}
+
+// ingestBatchRows sizes the batches dataset uploads and stream
+// contributions read their rows in.
+const ingestBatchRows = 4096
+
+// eachBatch reads src in batches of up to ingestBatchRows rows, every one
+// into the same pooled buffer (Batches), and hands each to fn, which is
+// done with it when it returns. Read errors come back classified as
+// invalid input; the first error, of either kind, ends the reading.
+func eachBatch(src RowSource, fn func(*matrix.Dense) error) error {
+	batches := NewBatches(src, ingestBatchRows)
+	defer batches.Release()
+	for {
+		batch, err := batches.Next()
+		if batch != nil {
+			if ferr := fn(batch); ferr != nil {
+				return ferr
+			}
+		}
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 // Batches reads a RowSource in batches of up to a fixed number of rows,

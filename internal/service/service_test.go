@@ -7,7 +7,9 @@ package service
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -233,6 +235,46 @@ func TestTuneServiceInProcess(t *testing.T) {
 	}
 	if res.Evaluated != 2 || len(res.Frontier) == 0 {
 		t.Fatalf("tune result: evaluated=%d frontier=%d", res.Evaluated, len(res.Frontier))
+	}
+}
+
+// TestUploadLabeledBatches: an upload reads its rows in 4 096-row
+// batches through one pooled buffer. 9 000 labels=last rows, three
+// batches and two datastore blocks, read back as the values and labels
+// sent.
+func TestUploadLabeledBatches(t *testing.T) {
+	svc := newTestServices(t)
+	rows := blobs(9000)
+	sent := make([][]float64, len(rows))
+	for i, r := range rows {
+		sent[i] = append(append([]float64(nil), r...), float64(i%3-1))
+	}
+	up, err := svc.Datasets.Upload(context.Background(), UploadRequest{Owner: "o", Name: "d", LabeledLast: true},
+		&SliceRows{Columns: []string{"x", "y", "z", "label"}, Rows: sent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := up.Meta; m.Rows != 9000 || m.Cols != 3 || !m.Labeled || !slices.Equal(m.Attrs, []string{"x", "y", "z"}) {
+		t.Fatalf("meta = %+v", m)
+	}
+	ds, err := svc.Datasets.Open("o", "d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ds.Matrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := ds.Labels()
+	for i, r := range rows {
+		for j, v := range r {
+			if math.Float64bits(got.At(i, j)) != math.Float64bits(v) {
+				t.Fatalf("row %d col %d = %v, sent %v", i, j, got.At(i, j), v)
+			}
+		}
+		if labels[i] != i%3-1 {
+			t.Fatalf("row %d label = %d, sent %d", i, labels[i], i%3-1)
+		}
 	}
 }
 

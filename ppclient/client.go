@@ -26,11 +26,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"ppclust/internal/codec"
+	"ppclust/internal/matrix"
 )
 
 // Wire format values for Client.Wire.
@@ -81,17 +81,12 @@ type Client struct {
 	// the request context cancels the wait.
 	RetryBackoff    time.Duration
 	RetryMaxBackoff time.Duration
-	// Wire selects the row wire format for the structured-row calls
-	// (UploadDataset, Contribute, DownloadDatasetRows). Empty or
-	// WireBinary sends the framed binary row-batch format; against a
-	// daemon that predates it (400 unknown-format) the client falls
-	// back to CSV once and remembers, so negotiation is transparent.
-	// WireCSV forces CSV from the first request.
+	// Wire alone selects the row wire format of the structured-row calls
+	// (UploadDataset, Contribute, DownloadDatasetRows): WireCSV sends and
+	// asks for CSV; anything else, empty included, the framed binary
+	// row-batch format. Nothing is probed: a daemon that cannot read
+	// binary answers 400, which reaches the caller as an *APIError.
 	Wire string
-
-	// wireCSV remembers a failed binary negotiation so later calls skip
-	// straight to CSV without re-probing.
-	wireCSV atomic.Bool
 
 	// ringTable, when loaded by UseRing, routes owner-scoped requests
 	// straight to the owner's home node.
@@ -111,7 +106,8 @@ type APIError struct {
 	Status int
 	// Code is the service error code ("not_found", "conflict",
 	// "forbidden", "unauthenticated", "invalid", "draining", "internal");
-	// empty when the server predates the envelope.
+	// empty for an answer without the envelope, such as a plain-text 404
+	// or a proxy's 502.
 	Code string
 	// Message is the human-readable error.
 	Message string
@@ -258,15 +254,11 @@ func (c *Client) JoinFederation(ctx context.Context, id string) (*Federation, er
 // protects the rows under the federation's shared transform and stores
 // only the protected release; when the owner is the coordinator and the
 // federation is still open, this contribution fits and freezes the
-// shared key. Rows travel as framed binary batches unless Wire forces
-// CSV (or a binary-unaware daemon already forced the fallback).
+// shared key. Rows travel as framed binary batches unless Wire is
+// WireCSV.
 func (c *Client) Contribute(ctx context.Context, id string, columns []string, rows [][]float64) (*Federation, error) {
-	if c.useBinary() {
-		out, err := c.contributeBinary(ctx, id, columns, rows)
-		if err == nil || !wireUnsupported(err) {
-			return out, err
-		}
-		c.wireCSV.Store(true)
+	if c.Wire != WireCSV {
+		return c.contributeBinary(ctx, id, columns, rows)
 	}
 	buf, err := renderCSV(columns, rows)
 	if err != nil {
@@ -292,33 +284,28 @@ func (c *Client) contributeBinary(ctx context.Context, id string, columns []stri
 	return &out, nil
 }
 
-// useBinary reports whether the next structured-row call should attempt
-// the binary wire format.
-func (c *Client) useBinary() bool {
-	return c.Wire != WireCSV && !c.wireCSV.Load()
-}
+// frameRows caps the rows of one batch frame renderBinary writes.
+const frameRows = 4096
 
-// wireUnsupported recognizes the crisp 400 a binary-unaware daemon gives
-// the explicit format=binary query — the only error that should flip the
-// client to its CSV fallback.
-func wireUnsupported(err error) bool {
-	var ae *APIError
-	return errors.As(err, &ae) && ae.Status == http.StatusBadRequest &&
-		strings.Contains(ae.Message, "unknown format")
-}
-
-// renderBinary frames a header plus numeric rows as binary row batches.
+// renderBinary frames a header plus numeric rows as binary row batches of
+// at most frameRows rows, each gathered into one reused buffer.
 func renderBinary(columns []string, rows [][]float64) (*bytes.Buffer, error) {
 	var buf bytes.Buffer
 	w := codec.NewWriter(&buf)
 	if err := w.WriteHeader(columns, false); err != nil {
 		return nil, err
 	}
-	for _, row := range rows {
-		if len(row) != len(columns) {
-			return nil, fmt.Errorf("ppclient: row has %d values, schema has %d columns", len(row), len(columns))
+	cols := len(columns)
+	frame := make([]float64, 0, min(len(rows), frameRows)*cols)
+	for lo := 0; lo < len(rows); lo += frameRows {
+		frame = frame[:0]
+		for _, row := range rows[lo:min(lo+frameRows, len(rows))] {
+			if len(row) != cols {
+				return nil, fmt.Errorf("ppclient: row has %d values, schema has %d columns", len(row), cols)
+			}
+			frame = append(frame, row...)
 		}
-		if err := w.WriteRow(row); err != nil {
+		if err := w.WriteBatch(matrix.NewDense(len(frame)/cols, cols, frame), nil); err != nil {
 			return nil, err
 		}
 	}
@@ -443,17 +430,11 @@ func (c *Client) DownloadDataset(ctx context.Context, name string) (string, erro
 }
 
 // DownloadDatasetRows fetches one of the owner's stored datasets decoded
-// into column names and numeric rows. It asks for the framed binary
-// format — no float↔text conversion on either side — and falls back to
-// CSV transparently against a daemon that predates it (honoring Wire,
-// like the upload paths).
+// into column names and numeric rows. Unless Wire is WireCSV it asks for
+// the framed binary format — no float↔text conversion on either side.
 func (c *Client) DownloadDatasetRows(ctx context.Context, name string) ([]string, [][]float64, error) {
-	if c.useBinary() {
-		cols, rows, err := c.downloadRowsBinary(ctx, name)
-		if err == nil || !wireUnsupported(err) {
-			return cols, rows, err
-		}
-		c.wireCSV.Store(true)
+	if c.Wire != WireCSV {
+		return c.downloadRowsBinary(ctx, name)
 	}
 	raw, err := c.DownloadDataset(ctx, name)
 	if err != nil {
@@ -735,8 +716,8 @@ func (c *Client) backoff(ctx context.Context, attempt int) error {
 }
 
 // apiError decodes the shared error envelope {"error":{"code","message"}},
-// falling back to the legacy flat {"error":"..."} string and then to the
-// raw body.
+// falling back to the raw body for the plain-text answers that never
+// carry it (the mux's 404, a proxy's 502).
 func apiError(status int, raw []byte) error {
 	var env struct {
 		Error struct {
@@ -747,14 +728,7 @@ func apiError(status int, raw []byte) error {
 	if json.Unmarshal(raw, &env) == nil && env.Error.Message != "" {
 		return &APIError{Status: status, Code: env.Error.Code, Message: env.Error.Message}
 	}
-	var legacy struct {
-		Error string `json:"error"`
-	}
-	msg := strings.TrimSpace(string(raw))
-	if json.Unmarshal(raw, &legacy) == nil && legacy.Error != "" {
-		msg = legacy.Error
-	}
-	return &APIError{Status: status, Message: msg}
+	return &APIError{Status: status, Message: strings.TrimSpace(string(raw))}
 }
 
 // DatasetMeta mirrors the daemon's secret-free dataset description.
@@ -771,15 +745,10 @@ type DatasetMeta struct {
 // UploadDataset uploads rows as the owner's named dataset. The first
 // upload for an unknown owner claims the owner name; the minted token is
 // captured into c.Token. Rows travel as framed binary batches unless
-// Wire forces CSV (or a binary-unaware daemon already forced the
-// fallback).
+// Wire is WireCSV.
 func (c *Client) UploadDataset(ctx context.Context, name string, columns []string, rows [][]float64) (*DatasetMeta, error) {
-	if c.useBinary() {
-		out, err := c.uploadDatasetBinary(ctx, name, columns, rows)
-		if err == nil || !wireUnsupported(err) {
-			return out, err
-		}
-		c.wireCSV.Store(true)
+	if c.Wire != WireCSV {
+		return c.uploadDatasetBinary(ctx, name, columns, rows)
 	}
 	buf, err := renderCSV(columns, rows)
 	if err != nil {

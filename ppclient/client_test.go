@@ -8,11 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"ppclust/internal/codec"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"ppclust/internal/codec"
+	"ppclust/internal/matrix"
 )
 
 // TestTokenCaptureAndErrors exercises the client plumbing against a stub
@@ -157,8 +159,7 @@ func TestWaitJobHonorsContext(t *testing.T) {
 }
 
 // TestAPIErrorEnvelope: the client decodes the daemon's shared error
-// envelope {"error":{"code","message"}} into a typed APIError, and still
-// understands the legacy flat string shape.
+// envelope {"error":{"code","message"}} into a typed APIError.
 func TestAPIErrorEnvelope(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotFound)
@@ -179,12 +180,6 @@ func TestAPIErrorEnvelope(t *testing.T) {
 	}
 	if !strings.Contains(ae.Error(), "not_found") {
 		t.Fatalf("Error() should carry the code: %q", ae.Error())
-	}
-
-	// Legacy flat shape still decodes (code stays empty).
-	legacy := apiError(http.StatusConflict, []byte(`{"error":"old style"}`))
-	if !errors.As(legacy, &ae) || ae.Code != "" || ae.Message != "old style" {
-		t.Fatalf("legacy decode = %+v", ae)
 	}
 }
 
@@ -335,8 +330,7 @@ func TestWireNegotiationBinary(t *testing.T) {
 			w.Header().Set("Content-Type", codec.ContentType)
 			cw := codec.NewWriter(w)
 			cw.WriteHeader([]string{"a", "b"}, false)
-			cw.WriteRow([]float64{1.5, -2})
-			cw.WriteRow([]float64{3, 4})
+			cw.WriteBatch(matrix.NewDense(2, 2, []float64{1.5, -2, 3, 4}), nil)
 			if err := cw.Close(); err != nil {
 				t.Error(err)
 			}
@@ -364,13 +358,13 @@ func TestWireNegotiationBinary(t *testing.T) {
 	}
 }
 
-// TestWireNegotiationFallback drives the client against a daemon that
-// predates the binary format: the first binary attempt gets the crisp
-// unknown-format 400, the client retries as CSV transparently, and — the
-// sticky part — the next call goes straight to CSV without re-probing.
-func TestWireNegotiationFallback(t *testing.T) {
+// TestWireChosenNotProbed: Wire alone picks the format. A default client
+// against a daemon that cannot read binary gets its 400 back as an
+// *APIError, after one request and no CSV retry; a client with Wire =
+// WireCSV sends text/csv and never asks for format=binary.
+func TestWireChosenNotProbed(t *testing.T) {
 	ctx := context.Background()
-	binaryProbes, csvUploads := 0, 0
+	binaryUploads, csvUploads := 0, 0
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost || r.URL.Path != "/v1/datasets" {
 			t.Errorf("unexpected call %s %s", r.Method, r.URL.Path)
@@ -378,17 +372,17 @@ func TestWireNegotiationFallback(t *testing.T) {
 			return
 		}
 		if r.URL.Query().Get("format") == "binary" {
-			binaryProbes++
+			binaryUploads++
 			w.WriteHeader(http.StatusBadRequest)
 			w.Write([]byte(`{"error":{"code":"invalid","message":"unknown format \"binary\" (want csv or ndjson)"}}`))
 			return
 		}
 		if ct := r.Header.Get("Content-Type"); ct != "text/csv" {
-			t.Errorf("fallback content-type = %q", ct)
+			t.Errorf("csv upload content-type = %q", ct)
 		}
 		body, _ := io.ReadAll(r.Body)
 		if !strings.HasPrefix(string(body), "a,b\n") {
-			t.Errorf("fallback body = %q", body)
+			t.Errorf("csv upload body = %q", body)
 		}
 		csvUploads++
 		w.WriteHeader(http.StatusCreated)
@@ -396,23 +390,60 @@ func TestWireNegotiationFallback(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := New(ts.URL, "alice")
-	for i := 0; i < 2; i++ {
-		if _, err := c.UploadDataset(ctx, "d", []string{"a", "b"}, [][]float64{{1, 2}}); err != nil {
-			t.Fatal(err)
-		}
+	_, err := New(ts.URL, "alice").UploadDataset(ctx, "d", []string{"a", "b"}, [][]float64{{1, 2}})
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest || ae.Code != "invalid" {
+		t.Fatalf("binary upload to a csv-only daemon: %v, want a 400 *APIError", err)
 	}
-	if binaryProbes != 1 || csvUploads != 2 {
-		t.Fatalf("binary probes = %d (want 1), csv uploads = %d (want 2)", binaryProbes, csvUploads)
+	if binaryUploads != 1 || csvUploads != 0 {
+		t.Fatalf("binary uploads = %d (want 1), csv uploads = %d (want 0)", binaryUploads, csvUploads)
 	}
 
-	// Wire=csv skips the probe entirely.
-	c2 := New(ts.URL, "alice")
-	c2.Wire = WireCSV
-	if _, err := c2.UploadDataset(ctx, "d", []string{"a", "b"}, [][]float64{{1, 2}}); err != nil {
+	c := New(ts.URL, "alice")
+	c.Wire = WireCSV
+	if _, err := c.UploadDataset(ctx, "d", []string{"a", "b"}, [][]float64{{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if binaryProbes != 1 {
-		t.Fatalf("Wire=csv still probed binary (%d probes)", binaryProbes)
+	if binaryUploads != 1 || csvUploads != 1 {
+		t.Fatalf("Wire=csv: binary uploads = %d (want 1), csv uploads = %d (want 1)", binaryUploads, csvUploads)
+	}
+}
+
+// TestRenderBinaryFrames: binary bodies go out in frames of at most
+// 4 096 rows that read back as the rows given, and a row of the wrong
+// width is refused before anything is sent.
+func TestRenderBinaryFrames(t *testing.T) {
+	rows := make([][]float64, 9000)
+	for i := range rows {
+		rows[i] = []float64{float64(i), -float64(i) / 3}
+	}
+	buf, err := renderBinary([]string{"a", "b"}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := codec.NewReader(buf)
+	var frames []int
+	next := 0
+	for {
+		b, _, err := rd.ReadBatch()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, b.Rows())
+		for i := 0; i < b.Rows(); i, next = i+1, next+1 {
+			if got := b.RawRow(i); got[0] != rows[next][0] || got[1] != rows[next][1] {
+				t.Fatalf("row %d = %v, sent %v", next, got, rows[next])
+			}
+		}
+	}
+	if len(frames) != 3 || frames[0] != 4096 || frames[1] != 4096 || frames[2] != 808 {
+		t.Fatalf("frames of %v rows, want 4096, 4096, 808", frames)
+	}
+	rows[5000] = []float64{1}
+	if _, err := renderBinary([]string{"a", "b"}, rows); err == nil {
+		t.Fatal("a ragged row was framed")
 	}
 }
