@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"ppclust/internal/codec"
 	"ppclust/internal/keyring"
 	"ppclust/internal/matrix"
 	"ppclust/internal/obs"
@@ -42,7 +43,7 @@ func (s *server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, service.Invalid(fmt.Errorf("unknown labels %q (want last)", q.Get("labels"))))
 		return
 	}
-	format, err := resolveFormat(q.Get("format"), r.Header)
+	f, err := codec.Negotiate(q.Get("format"), r.Header)
 	if err != nil {
 		writeErr(w, service.Invalid(err))
 		return
@@ -66,7 +67,7 @@ func (s *server) handleDatasetUpload(w http.ResponseWriter, r *http.Request) {
 	req.Claim = !known
 
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	res, err := s.svc.Datasets.Upload(r.Context(), req, newRowReader(format, body))
+	res, err := s.svc.Datasets.Upload(r.Context(), req, f.NewReader(body))
 	// The claim (and hence the token the client is about to learn) stands
 	// even if the ingest failed after it — so the credential header is set
 	// before the outcome is known.
@@ -119,7 +120,7 @@ func (s *server) handleDatasetRows(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	format, err := resolveFormat(r.URL.Query().Get("format"), r.Header)
+	f, err := codec.Negotiate(r.URL.Query().Get("format"), r.Header)
 	if err != nil {
 		writeErr(w, service.Invalid(err))
 		return
@@ -129,16 +130,16 @@ func (s *server) handleDatasetRows(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", contentType(format))
+	w.Header().Set("Content-Type", f.ContentType)
 	w.Header().Set("X-Ppclust-Owner", owner)
-	rw := newRowWriter(format, w)
-	if err := rw.WriteNames(ds.Attrs); err != nil {
+	rw := f.NewWriter(w)
+	if err := rw.WriteHeader(ds.Attrs, false); err != nil {
 		s.logger.Warn("dataset rows write header", "owner", owner, "dataset", ds.Name,
 			"trace", obs.TraceID(r.Context()), "err", err.Error())
 		return
 	}
 	werr := ds.Blocks(func(b *matrix.Dense) error {
-		if err := rw.WriteBatch(b); err != nil {
+		if err := rw.WriteBatch(b, nil); err != nil {
 			return err
 		}
 		flush(rw, w)

@@ -24,6 +24,7 @@ import (
 	"io"
 	"net/http"
 
+	"ppclust/internal/codec"
 	"ppclust/internal/federation"
 	"ppclust/internal/keyring"
 	"ppclust/internal/service"
@@ -156,13 +157,13 @@ func (s *server) handleFederationContribute(w http.ResponseWriter, r *http.Reque
 	if !ok {
 		return
 	}
-	format, err := resolveFormat(r.URL.Query().Get("format"), r.Header)
+	f, err := codec.Negotiate(r.URL.Query().Get("format"), r.Header)
 	if err != nil {
 		writeErr(w, service.Invalid(err))
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	v, err := s.svc.Federations.Contribute(r.PathValue("id"), owner, newRowReader(format, body))
+	v, err := s.svc.Federations.Contribute(r.PathValue("id"), owner, f.NewReader(body))
 	if err != nil {
 		writeErr(w, err)
 		return

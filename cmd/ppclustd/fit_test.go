@@ -20,23 +20,23 @@ import (
 	"ppclust/internal/service"
 )
 
-// renderBody encodes m in format with the server's own row writer, in
+// renderBody encodes m in format f with the server's own row writer, in
 // blocks of frameRows rows (one batch frame each in binary).
-func renderBody(t *testing.T, format string, m *matrix.Dense, frameRows int) []byte {
+func renderBody(t *testing.T, f *codec.Format, m *matrix.Dense, frameRows int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	rw := newRowWriter(format, &buf)
+	rw := f.NewWriter(&buf)
 	names := make([]string, m.Cols())
 	for j := range names {
 		names[j] = fmt.Sprintf("a%d", j)
 	}
-	if err := rw.WriteNames(names); err != nil {
+	if err := rw.WriteHeader(names, false); err != nil {
 		t.Fatal(err)
 	}
 	n := m.Cols()
 	for lo := 0; lo < m.Rows(); lo += frameRows {
 		hi := min(lo+frameRows, m.Rows())
-		if err := rw.WriteBatch(matrix.NewDense(hi-lo, n, m.Raw()[lo*n:hi*n])); err != nil {
+		if err := rw.WriteBatch(matrix.NewDense(hi-lo, n, m.Raw()[lo*n:hi*n]), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,12 +46,12 @@ func renderBody(t *testing.T, format string, m *matrix.Dense, frameRows int) []b
 	return buf.Bytes()
 }
 
-// decodeBody parses a body in format with the server's own row reader.
-func decodeBody(t *testing.T, format string, raw []byte) *matrix.Dense {
+// decodeBody parses a body in format f with the server's own row reader.
+func decodeBody(t *testing.T, f *codec.Format, raw []byte) *matrix.Dense {
 	t.Helper()
-	m, err := service.ReadAll(newRowReader(format, bytes.NewReader(raw)))
+	m, err := service.ReadAll(f.NewReader(bytes.NewReader(raw)))
 	if err != nil {
-		t.Fatalf("decoding %s body: %v", format, err)
+		t.Fatalf("decoding %s body: %v", f.Name, err)
 	}
 	return m
 }
@@ -63,17 +63,17 @@ func TestFitInPlaceMatchesFreshRelease(t *testing.T) {
 	ts, s := newTestServer(t) // 64-row response batches
 	m := matrix.RandomDense(300, 6, rand.New(rand.NewSource(8)))
 	cases := []struct {
-		format    string
+		format    *codec.Format
 		frameRows int
 	}{
-		{formatBinary, 300}, {formatBinary, 70}, {formatCSV, 300}, {formatNDJSON, 300},
+		{codec.Binary, 300}, {codec.Binary, 70}, {codec.CSV, 300}, {codec.NDJSON, 300},
 	}
 	for i, tc := range cases {
 		body := renderBody(t, tc.format, m, tc.frameRows)
 		owner := fmt.Sprintf("inplace-%d", i)
-		resp, got := postBinary(t, ts.URL+"/v1/protect?seed=5&format="+tc.format+"&owner="+owner, "", body)
+		resp, got := postBinary(t, ts.URL+"/v1/protect?seed=5&format="+tc.format.Name+"&owner="+owner, "", body)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s fit: %d %s", tc.format, resp.StatusCode, got)
+			t.Fatalf("%s fit: %d %s", tc.format.Name, resp.StatusCode, got)
 		}
 		opts, err := parseProtectOptions(url.Values{"seed": {"5"}})
 		if err != nil {
@@ -85,7 +85,7 @@ func TestFitInPlaceMatchesFreshRelease(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bitIdentical(decodeBody(t, tc.format, got), fresh.Released) {
-			t.Fatalf("%s (%d-row frames): in-place release differs from a fresh release", tc.format, tc.frameRows)
+			t.Fatalf("%s (%d-row frames): in-place release differs from a fresh release", tc.format.Name, tc.frameRows)
 		}
 	}
 }
@@ -130,7 +130,7 @@ func TestBinaryFitAllocations(t *testing.T) {
 	s := newServerWith(t, engine.New(2, 0), keyring.NewMemory())
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
-	body := renderBody(t, formatBinary, matrix.RandomDense(2000, 32, rand.New(rand.NewSource(3))), 2000)
+	body := renderBody(t, codec.Binary, matrix.RandomDense(2000, 32, rand.New(rand.NewSource(3))), 2000)
 	client := ts.Client()
 	var rel bytes.Buffer
 	rel.Grow(2 * len(body))
@@ -196,7 +196,7 @@ func TestBinaryStreamAllocations(t *testing.T) {
 	s := newServerWith(t, engine.New(2, 0), keyring.NewMemory())
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
-	body := renderBody(t, formatBinary, matrix.RandomDense(20000, 16, rand.New(rand.NewSource(4))), 20000)
+	body := renderBody(t, codec.Binary, matrix.RandomDense(20000, 16, rand.New(rand.NewSource(4))), 20000)
 	client := ts.Client()
 	var rel bytes.Buffer
 	rel.Grow(2 * len(body))
@@ -321,21 +321,21 @@ func TestUploadAllocations(t *testing.T) {
 	t.Cleanup(ts.Close)
 	const rows = 20000
 	m := matrix.RandomDense(rows, 16, rand.New(rand.NewSource(5)))
-	for _, format := range []string{formatBinary, formatCSV} {
-		owner := "up" + format
+	for _, format := range []*codec.Format{codec.Binary, codec.CSV} {
+		owner := "up" + format.Name
 		body := renderBody(t, format, m, rows)
-		size, allocs := steadyAllocs(ingestOp(t, ts, "/v1/datasets?name=d&owner="+owner, contentType(format), body,
+		size, allocs := steadyAllocs(ingestOp(t, ts, "/v1/datasets?name=d&owner="+owner, format.ContentType, body,
 			http.StatusCreated, func() {
 				if err := s.svc.Datasets.Delete(owner, "d"); err != nil {
 					t.Fatal(err)
 				}
 			}))
 		t.Logf("%s upload of %d B: %.2f MB (%.2f× the body), %.2f allocations per row",
-			format, len(body), size/1e6, size/float64(len(body)), allocs/rows)
+			format.Name, len(body), size/1e6, size/float64(len(body)), allocs/rows)
 		switch {
-		case format == formatBinary && size > 1.6*float64(len(body)):
+		case format == codec.Binary && size > 1.6*float64(len(body)):
 			t.Fatalf("a binary upload allocated %.0f B, want <= 1.6× its %d B body", size, len(body))
-		case format == formatCSV && allocs > 1.5*rows:
+		case format == codec.CSV && allocs > 1.5*rows:
 			t.Fatalf("a CSV upload took %.0f allocations, want <= 1.5 per row (%d rows)", allocs, rows)
 		}
 	}
@@ -350,8 +350,8 @@ func TestCSVFitAllocations(t *testing.T) {
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
 	const rows = 2000
-	body := renderBody(t, formatCSV, matrix.RandomDense(rows, 5, rand.New(rand.NewSource(6))), rows)
-	_, allocs := steadyAllocs(ingestOp(t, ts, "/v1/protect?owner=csvfit", contentType(formatCSV), body, http.StatusOK, nil))
+	body := renderBody(t, codec.CSV, matrix.RandomDense(rows, 5, rand.New(rand.NewSource(6))), rows)
+	_, allocs := steadyAllocs(ingestOp(t, ts, "/v1/protect?owner=csvfit", codec.CSV.ContentType, body, http.StatusOK, nil))
 	t.Logf("%.2f allocations per row of a %d×5 CSV fit", allocs/rows, rows)
 	if allocs > 1.5*rows {
 		t.Fatalf("a CSV fit took %.0f allocations, want <= 1.5 per row (%d rows)", allocs, rows)
@@ -394,13 +394,13 @@ func TestDeclaredBodiesAllocateWhatArrives(t *testing.T) {
 		return rec
 	}
 	rec := serve("/v1/protect?owner=narrow", "",
-		renderBody(t, formatBinary, matrix.RandomDense(50, 4, rand.New(rand.NewSource(5))), 50))
+		renderBody(t, codec.Binary, matrix.RandomDense(50, 4, rand.New(rand.NewSource(5))), 50))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("fit: %d %s", rec.Code, rec.Body)
 	}
 	tok := token(t, rec.Result())
 	wide := func(rows int) []byte {
-		return renderBody(t, formatBinary, matrix.NewDense(rows, 1<<16, nil), rows)
+		return renderBody(t, codec.Binary, matrix.NewDense(rows, 1<<16, nil), rows)
 	}
 	cases := []struct {
 		name, url, token string

@@ -547,13 +547,14 @@ func encodeDatasetFrames(w io.Writer, ds *datastore.Dataset) error {
 // newest write. The incoming copy is built in full first, through the
 // Builder, so NaN/Inf screening matches every other ingest path and a
 // transfer that breaks off or carries a bad row leaves the local copy as
-// it was.
+// it was. A stream that cannot be read is the sender's fault: its error
+// is classified invalid, as an upload's is.
 func (rt *ringRuntime) importDatasetStream(owner, name string, createdAt time.Time, rd *codec.Reader) error {
 	// Names before the first frame: once the stream has failed it has none.
 	attrs := rd.Names()
 	if attrs == nil {
 		_, _, err := rd.ReadBatch()
-		return fmt.Errorf("ring: transfer for %s/%s: %w", owner, name, err)
+		return service.Invalid(fmt.Errorf("ring: transfer for %s/%s: %w", owner, name, err))
 	}
 	b, err := datastore.NewBuilder(owner, name, attrs)
 	if err != nil {
@@ -565,7 +566,7 @@ func (rt *ringRuntime) importDatasetStream(owner, name string, createdAt time.Ti
 			break
 		}
 		if err != nil {
-			return fmt.Errorf("ring: transfer for %s/%s: %w", owner, name, err)
+			return service.Invalid(fmt.Errorf("ring: transfer for %s/%s: %w", owner, name, err))
 		}
 		for i := 0; i < batch.Rows(); i++ {
 			if rd.Labeled() {
@@ -597,16 +598,14 @@ func (rt *ringRuntime) importDatasetStream(owner, name string, createdAt time.Ti
 }
 
 // fetchDataset pulls one dataset from a peer during catch-up as PPRW
-// frames. The format=binary parameter keeps a peer of an earlier build,
-// whose export answered JSON without it, answering with frames.
+// frames.
 func (rt *ringRuntime) fetchDataset(ctx context.Context, from ring.Node, owner, name string) error {
 	path := "/v1/ring/export/dataset?owner=" + url.QueryEscape(owner) +
-		"&name=" + url.QueryEscape(name) + "&format=" + formatBinary
+		"&name=" + url.QueryEscape(name)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, from.Addr+path, nil)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Accept", codec.ContentType)
 	if rt.clusterKey != "" {
 		req.Header.Set(hdrClusterKey, rt.clusterKey)
 	}

@@ -679,8 +679,14 @@ func TestRingImportKeepsCopyOnFailedTransfer(t *testing.T) {
 		{"carrying a NaN", later, renderLabeled(t, nan, labels, 16)},
 	}
 	for _, tc := range refused {
-		if code, msg := send(tc.at, tc.body); code < 400 {
-			t.Fatalf("later transfer %s: %d %s, want refused", tc.name, code, msg)
+		code, msg := send(tc.at, tc.body)
+		var env struct {
+			Error struct {
+				Code string `json:"code"`
+			} `json:"error"`
+		}
+		if code != http.StatusBadRequest || json.Unmarshal([]byte(msg), &env) != nil || env.Error.Code != service.CodeInvalid {
+			t.Fatalf("later transfer %s: %d %s, want 400 invalid", tc.name, code, msg)
 		}
 		if got, heldAt := held(); got != orig || !heldAt.Equal(created) {
 			t.Fatalf("later transfer %s changed d", tc.name)

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ppclust/internal/codec"
 	"ppclust/internal/core"
 	"ppclust/internal/datastore"
 	"ppclust/internal/engine"
@@ -254,7 +255,7 @@ func (s *server) handleProtect(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, service.Wrap(err))
 		return
 	}
-	format, err := resolveFormat(q.Get("format"), r.Header)
+	f, err := codec.Negotiate(q.Get("format"), r.Header)
 	if err != nil {
 		writeErr(w, service.Invalid(err))
 		return
@@ -279,13 +280,13 @@ func (s *server) handleProtect(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	rr := newRowReader(format, body)
+	rr := f.NewReader(body)
 
 	switch mode := q.Get("mode"); mode {
 	case "", "fit":
-		s.protectFit(w, r, q, format, rr, owner, st)
+		s.protectFit(w, r, q, f, rr, owner, st)
 	case "stream":
-		s.protectStream(w, r, q, format, rr, owner)
+		s.protectStream(w, r, q, f, rr, owner)
 	default:
 		writeErr(w, service.Invalid(fmt.Errorf("unknown mode %q (want fit or stream)", mode)))
 	}
@@ -296,7 +297,7 @@ func (s *server) handleProtect(w http.ResponseWriter, r *http.Request) {
 // the release to stream back. The decoded body belongs to this request
 // alone, so the release overwrites it instead of taking a second buffer
 // of the same size.
-func (s *server) protectFit(w http.ResponseWriter, r *http.Request, q urlValues, format string, rr rowReader, owner string, st service.OwnerState) {
+func (s *server) protectFit(w http.ResponseWriter, r *http.Request, q urlValues, f *codec.Format, rr codec.RowReader, owner string, st service.OwnerState) {
 	opts, err := parseProtectOptions(q)
 	if err != nil {
 		writeErr(w, service.Invalid(err))
@@ -313,14 +314,14 @@ func (s *server) protectFit(w http.ResponseWriter, r *http.Request, q urlValues,
 		writeErr(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", contentType(format))
+	w.Header().Set("Content-Type", f.ContentType)
 	w.Header().Set("X-Ppclust-Owner", owner)
 	w.Header().Set("X-Ppclust-Key-Version", strconv.Itoa(res.KeyVersion))
 	if res.MintedToken != "" {
 		w.Header().Set("X-Ppclust-Token", res.MintedToken)
 	}
-	rw := newRowWriter(format, w)
-	if err := rw.WriteNames(rr.Names()); err != nil {
+	rw := f.NewWriter(w)
+	if err := rw.WriteHeader(rr.Names(), false); err != nil {
 		s.logger.Warn("protect write header", "owner", owner, "trace", obs.TraceID(r.Context()), "err", err.Error())
 		return
 	}
@@ -330,7 +331,7 @@ func (s *server) protectFit(w http.ResponseWriter, r *http.Request, q urlValues,
 			flush(rw, w) // the last batch goes out with the end frame
 		}
 		hi := min(lo+s.batchRows, rel.Rows())
-		if err := rw.WriteBatch(matrix.NewDense(hi-lo, rel.Cols(), rel.Raw()[lo*rel.Cols():hi*rel.Cols()])); err != nil {
+		if err := rw.WriteBatch(matrix.NewDense(hi-lo, rel.Cols(), rel.Raw()[lo*rel.Cols():hi*rel.Cols()]), nil); err != nil {
 			s.logger.Warn("protect write rows", "owner", owner, "row", lo, "trace", obs.TraceID(r.Context()), "err", err.Error())
 			return
 		}
@@ -374,7 +375,7 @@ func parseProtectOptions(q urlValues) (engine.ProtectOptions, error) {
 
 // protectStream protects the body incrementally under the owner's stored
 // key: constant memory, unbounded input.
-func (s *server) protectStream(w http.ResponseWriter, r *http.Request, q urlValues, format string, rr rowReader, owner string) {
+func (s *server) protectStream(w http.ResponseWriter, r *http.Request, q urlValues, f *codec.Format, rr codec.RowReader, owner string) {
 	// The transform is frozen in stream mode; silently dropping fit-only
 	// parameters would mislead callers about the privacy level applied.
 	for _, p := range []string{"norm", "rho1", "rho2", "seed"} {
@@ -396,7 +397,7 @@ func (s *server) protectStream(w http.ResponseWriter, r *http.Request, q urlValu
 		writeErr(w, err)
 		return
 	}
-	s.pump(r.Context(), w, format, rr, tr)
+	s.pump(r.Context(), w, f, rr, tr)
 }
 
 func (s *server) handleRecover(w http.ResponseWriter, r *http.Request) {
@@ -406,7 +407,7 @@ func (s *server) handleRecover(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, service.Wrap(err))
 		return
 	}
-	format, err := resolveFormat(q.Get("format"), r.Header)
+	f, err := codec.Negotiate(q.Get("format"), r.Header)
 	if err != nil {
 		writeErr(w, service.Invalid(err))
 		return
@@ -422,7 +423,7 @@ func (s *server) handleRecover(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	s.pump(r.Context(), w, format, newRowReader(format, body), tr)
+	s.pump(r.Context(), w, f, f.NewReader(body), tr)
 }
 
 // pump streams the request body through tr in batches of batchRows, all
@@ -430,19 +431,19 @@ func (s *server) handleRecover(w http.ResponseWriter, r *http.Request) {
 // is read into it, transformed in place and written from it, as frames of
 // exactly batchRows rows but the last — the framing of a fit release of
 // the same body.
-func (s *server) pump(ctx context.Context, w http.ResponseWriter, format string, rr rowReader, tr *service.BatchTransformer) {
+func (s *server) pump(ctx context.Context, w http.ResponseWriter, f *codec.Format, rr codec.RowReader, tr *service.BatchTransformer) {
 	// Interleaving request-body reads with response writes needs explicit
 	// full-duplex mode on HTTP/1.x; without it the server closes the body
 	// at the first write.
 	_ = http.NewResponseController(w).EnableFullDuplex()
 	started, wroteNames := false, false
 	start := func() {
-		w.Header().Set("Content-Type", contentType(format))
+		w.Header().Set("Content-Type", f.ContentType)
 		w.Header().Set("X-Ppclust-Owner", tr.Owner)
 		w.Header().Set("X-Ppclust-Key-Version", strconv.Itoa(tr.KeyVersion))
 		started = true
 	}
-	rw := newRowWriter(format, w)
+	rw := f.NewWriter(w)
 	// abort kills the connection once the response has started: the
 	// client must see a transport error, never a clean EOF on a
 	// truncated dataset.
@@ -479,12 +480,12 @@ func (s *server) pump(ctx context.Context, w http.ResponseWriter, format string,
 			}
 			if !started {
 				start()
-				if err := rw.WriteNames(rr.Names()); err != nil {
+				if err := rw.WriteHeader(rr.Names(), false); err != nil {
 					abort("writing header", err)
 				}
 				wroteNames = true
 			}
-			if err := rw.WriteBatch(batch); err != nil {
+			if err := rw.WriteBatch(batch, nil); err != nil {
 				abort("writing", err)
 			}
 			flush(rw, w)
@@ -522,7 +523,7 @@ func parseFloat(s string, def float64) (float64, error) {
 	return v, nil
 }
 
-func flush(rw rowWriter, w http.ResponseWriter) {
+func flush(rw codec.RowWriter, w http.ResponseWriter) {
 	if err := rw.Flush(); err != nil {
 		return
 	}

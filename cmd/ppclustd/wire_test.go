@@ -2,11 +2,12 @@ package main
 
 // HTTP-level coverage for the framed binary wire path: ingest parity
 // with the text formats (same stored bytes, same rejections), the
-// protect stream in binary end to end, and forwarding binary bodies
-// across the ring.
+// protect stream in binary end to end, ppclient's row calls in every
+// format, and forwarding binary bodies across the ring.
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -22,6 +23,7 @@ import (
 	"ppclust/internal/engine"
 	"ppclust/internal/keyring"
 	"ppclust/internal/matrix"
+	"ppclust/ppclient"
 )
 
 // renderBinaryRows frames names+rows as one complete binary stream.
@@ -231,42 +233,42 @@ func TestBinaryProtectStreamMatchesCSV(t *testing.T) {
 	for _, batchRows := range []int{1, 7, 64, 4096} {
 		ts, s := newTestServer(t)
 		s.batchRows = batchRows
-		resp, fit := postBinary(t, ts.URL+"/v1/protect?owner=wp&seed=5", "", renderBody(t, formatBinary, orig, rows))
+		resp, fit := postBinary(t, ts.URL+"/v1/protect?owner=wp&seed=5", "", renderBody(t, codec.Binary, orig, rows))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("batch-rows %d: fit: %d %s", batchRows, resp.StatusCode, fit)
 		}
 		tok := token(t, resp)
-		stream := func(format string, body []byte) []byte {
+		stream := func(format *codec.Format, body []byte) []byte {
 			t.Helper()
-			resp, rel := postBinary(t, ts.URL+"/v1/protect?owner=wp&mode=stream&format="+format, tok, body)
+			resp, rel := postBinary(t, ts.URL+"/v1/protect?owner=wp&mode=stream&format="+format.Name, tok, body)
 			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("batch-rows %d: %s stream: %d %s", batchRows, format, resp.StatusCode, rel)
+				t.Fatalf("batch-rows %d: %s stream: %d %s", batchRows, format.Name, resp.StatusCode, rel)
 			}
-			if ct := resp.Header.Get("Content-Type"); ct != contentType(format) {
-				t.Fatalf("batch-rows %d: %s stream response content type = %q", batchRows, format, ct)
+			if ct := resp.Header.Get("Content-Type"); ct != format.ContentType {
+				t.Fatalf("batch-rows %d: %s stream response content type = %q", batchRows, format.Name, ct)
 			}
 			return rel
 		}
 		straddle := max(2, batchRows*2/3+1)
 		for _, frameRows := range []int{rows, 1, straddle} {
-			if rel := stream(formatBinary, renderBody(t, formatBinary, orig, frameRows)); !bytes.Equal(rel, fit) {
+			if rel := stream(codec.Binary, renderBody(t, codec.Binary, orig, frameRows)); !bytes.Equal(rel, fit) {
 				t.Fatalf("batch-rows %d, %d-row frames: binary stream release differs from the fit release", batchRows, frameRows)
 			}
 		}
-		if rel := stream(formatBinary, renderLabeled(t, orig, labels, straddle)); !bytes.Equal(rel, fit) {
+		if rel := stream(codec.Binary, renderLabeled(t, orig, labels, straddle)); !bytes.Equal(rel, fit) {
 			t.Fatalf("batch-rows %d: labeled binary stream release differs from the fit release", batchRows)
 		}
-		want := decodeBody(t, formatBinary, fit)
-		for _, format := range []string{formatCSV, formatNDJSON} {
+		want := decodeBody(t, codec.Binary, fit)
+		for _, format := range []*codec.Format{codec.CSV, codec.NDJSON} {
 			if got := decodeBody(t, format, stream(format, renderBody(t, format, orig, rows))); !bitIdentical(got, want) {
-				t.Fatalf("batch-rows %d: %s stream release differs from the binary one", batchRows, format)
+				t.Fatalf("batch-rows %d: %s stream release differs from the binary one", batchRows, format.Name)
 			}
 		}
 		resp, back := postBinary(t, ts.URL+"/v1/recover?owner=wp&format=binary", tok, fit)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("batch-rows %d: recover: %d %s", batchRows, resp.StatusCode, back)
 		}
-		if got := decodeBody(t, formatBinary, back); !matrix.EqualApprox(got, orig, 1e-9) {
+		if got := decodeBody(t, codec.Binary, back); !matrix.EqualApprox(got, orig, 1e-9) {
 			t.Fatalf("batch-rows %d: recover did not return the body", batchRows)
 		}
 	}
@@ -285,7 +287,7 @@ func TestStreamRejectsOverflowingRows(t *testing.T) {
 	for i := range m.Raw() {
 		m.Raw()[i] *= 1e-6
 	}
-	resp, fit := postBinary(t, ts.URL+"/v1/protect?owner=tiny&seed=3", "", renderBody(t, formatBinary, m, 50))
+	resp, fit := postBinary(t, ts.URL+"/v1/protect?owner=tiny&seed=3", "", renderBody(t, codec.Binary, m, 50))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fit: %d %s", resp.StatusCode, fit)
 	}
@@ -293,7 +295,7 @@ func TestStreamRejectsOverflowingRows(t *testing.T) {
 	withHuge := func(row int) []byte {
 		body := m.SubMatrix(0, 5, 0, 4)
 		body.SetAt(row, 0, 1e305)
-		return renderBody(t, formatBinary, body, 5)
+		return renderBody(t, codec.Binary, body, 5)
 	}
 	url := ts.URL + "/v1/protect?owner=tiny&mode=stream&format=binary"
 	resp, rel := postBinary(t, url, tok, withHuge(0))
@@ -335,8 +337,8 @@ func TestStreamBufferCarriesNothingAcrossRequests(t *testing.T) {
 		body, want []byte
 	}
 	owners := []*owner{
-		{name: "bulk", body: renderBody(t, formatBinary, matrix.RandomDense(20000, 16, rand.New(rand.NewSource(12))), 20000)},
-		{name: "few", body: renderBody(t, formatBinary, matrix.RandomDense(3, 16, rand.New(rand.NewSource(13))), 3)},
+		{name: "bulk", body: renderBody(t, codec.Binary, matrix.RandomDense(20000, 16, rand.New(rand.NewSource(12))), 20000)},
+		{name: "few", body: renderBody(t, codec.Binary, matrix.RandomDense(3, 16, rand.New(rand.NewSource(13))), 3)},
 	}
 	for _, o := range owners {
 		resp, rel := postBinary(t, ts.URL+"/v1/protect?seed=4&rho1=0.01&rho2=0.01&owner="+o.name, "", o.body)
@@ -421,5 +423,49 @@ func TestRingForwardsBinaryBodies(t *testing.T) {
 	}
 	if got := parseCSVBody(t, rows); !bitIdentical(got, orig) {
 		t.Fatal("rows read back through the ring differ from the binary upload")
+	}
+}
+
+// TestClientWireRoundTrip: ppclient against the real daemon, in both
+// formats Wire names — binary (empty) and CSV. UploadDataset then
+// DownloadDatasetRows returns the rows bit for bit (-0, subnormals,
+// ±1e±300 and integers included, over more than one 4 096-row batch),
+// and the names uploaded.
+func TestClientWireRoundTrip(t *testing.T) {
+	ts, _ := newTestServer(t)
+	ctx := context.Background()
+	specials := []float64{
+		math.Copysign(0, -1), 0, 7, -42, 1 << 53, math.SmallestNonzeroFloat64, -2.5e-310,
+		1e300, -1e300, 1e-300, -1e-300, math.MaxFloat64,
+	}
+	rng := rand.New(rand.NewSource(11))
+	rows := make([][]float64, 4500)
+	for i := range rows {
+		rows[i] = []float64{specials[i%len(specials)], rng.NormFloat64() * 1e3, float64(i - 2000)}
+	}
+	names := []string{"x", "y z", "w,v"}
+	for i, wire := range []string{"", ppclient.WireCSV} {
+		c := ppclient.New(ts.URL, fmt.Sprintf("wire%d", i))
+		c.Wire = wire
+		if _, err := c.UploadDataset(ctx, "d", names, rows); err != nil {
+			t.Fatalf("Wire=%q: upload: %v", wire, err)
+		}
+		gotNames, got, err := c.DownloadDatasetRows(ctx, "d")
+		if err != nil {
+			t.Fatalf("Wire=%q: download: %v", wire, err)
+		}
+		if strings.Join(gotNames, "|") != strings.Join(names, "|") {
+			t.Fatalf("Wire=%q: names %q, want %q", wire, gotNames, names)
+		}
+		if len(got) != len(rows) {
+			t.Fatalf("Wire=%q: %d rows back, uploaded %d", wire, len(got), len(rows))
+		}
+		for i, row := range rows {
+			for j, v := range row {
+				if math.Float64bits(got[i][j]) != math.Float64bits(v) {
+					t.Fatalf("Wire=%q: row %d col %d uploaded %v, downloaded %v", wire, i, j, v, got[i][j])
+				}
+			}
+		}
 	}
 }

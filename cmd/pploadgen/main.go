@@ -192,18 +192,16 @@ type owner struct {
 
 type harness struct {
 	owners []owner
-	csv    string
+	csv    []byte // the dataset as CSV, for setup
 	mix    []opKind
 	next   atomic.Int64
 
-	// wire is the row format the measured upload/protect ops speak
-	// ("csv", "json" i.e. NDJSON, or "binary"); body is the shared
-	// request payload pre-rendered in that format, bodyCT its
-	// Content-Type and formatQ the explicit format query value.
-	wire    string
-	body    []byte
-	bodyCT  string
-	formatQ string
+	// wire is the -wire value the report names ("csv", "json" or
+	// "ndjson", "binary"), format its table entry: the measured
+	// upload/protect ops send body, the dataset pre-rendered in it.
+	wire   string
+	format *codec.Format
+	body   []byte
 
 	mu      sync.Mutex
 	samples []sample
@@ -254,7 +252,7 @@ func (o *owner) rawPost(ctx context.Context, trace, u string, h *harness) (out, 
 	if err != nil {
 		return 0, 0, err
 	}
-	req.Header.Set("Content-Type", h.bodyCT)
+	req.Header.Set("Content-Type", h.format.ContentType)
 	req.Header.Set(ppclient.TraceHeader, trace)
 	if o.client.Token != "" {
 		req.Header.Set("Authorization", "Bearer "+o.client.Token)
@@ -278,7 +276,7 @@ func (o *owner) rawPost(ctx context.Context, trace, u string, h *harness) (out, 
 // uploadRaw stores the shared payload as a fresh dataset under name.
 func (o *owner) uploadRaw(ctx context.Context, trace, name string, h *harness) (out, in int64, err error) {
 	u := strings.TrimRight(o.client.BaseURL, "/") + "/v1/datasets?name=" + name +
-		"&owner=" + o.name + "&format=" + h.formatQ
+		"&owner=" + o.name + "&format=" + h.format.Name
 	out, in, err = o.rawPost(ctx, trace, u, h)
 	if err != nil {
 		return out, in, fmt.Errorf("upload: %w", err)
@@ -291,7 +289,7 @@ func (o *owner) uploadRaw(ctx context.Context, trace, name string, h *harness) (
 // keyring under load. The response streams back in the same format.
 func (o *owner) protectStream(ctx context.Context, trace string, h *harness) (out, in int64, err error) {
 	u := strings.TrimRight(o.client.BaseURL, "/") + "/v1/protect?mode=stream&owner=" + o.name +
-		"&format=" + h.formatQ
+		"&format=" + h.format.Name
 	out, in, err = o.rawPost(ctx, trace, u, h)
 	if err != nil {
 		return out, in, fmt.Errorf("protect: %w", err)
@@ -325,15 +323,15 @@ func (o *owner) clusterJob(ctx context.Context) error {
 func (h *harness) setup(ctx context.Context) error {
 	for i := range h.owners {
 		o := &h.owners[i]
-		if _, err := o.client.UploadDatasetCSV(ctx, o.base, strings.NewReader(h.csv), false); err != nil {
+		if _, err := o.client.UploadDatasetCSV(ctx, o.base, bytes.NewReader(h.csv), false); err != nil {
 			return fmt.Errorf("seeding %s: %w", o.name, err)
 		}
 		u := strings.TrimRight(o.client.BaseURL, "/") + "/v1/protect?owner=" + o.name + "&seed=1"
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, strings.NewReader(h.csv))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(h.csv))
 		if err != nil {
 			return err
 		}
-		req.Header.Set("Content-Type", "text/csv")
+		req.Header.Set("Content-Type", codec.CSV.ContentType)
 		req.Header.Set("Authorization", "Bearer "+o.client.Token)
 		resp, err := o.http.Do(req)
 		if err != nil {
@@ -454,41 +452,22 @@ func (h *harness) report(nodes []string, concurrency, requests, rows int, mixSpe
 	return rep
 }
 
-// renderWire renders the synthetic dataset once in the requested wire
-// format; every measured upload/protect request reuses the bytes, so the
-// report's bytes-on-wire columns compare formats over identical data.
-func renderWire(ds *dataset.Dataset, wire string) (body []byte, contentType, formatQ string, err error) {
+// render writes the synthetic dataset once in format f; every request
+// that carries it reuses the bytes, so the report's bytes-on-wire columns
+// compare formats over identical data.
+func render(f *codec.Format, ds *dataset.Dataset) ([]byte, error) {
 	var buf bytes.Buffer
-	switch wire {
-	case "csv":
-		if err := dataset.WriteCSV(&buf, ds); err != nil {
-			return nil, "", "", err
-		}
-		return buf.Bytes(), "text/csv", "csv", nil
-	case "json", "ndjson":
-		for i := 0; i < ds.Data.Rows(); i++ {
-			raw, err := json.Marshal(ds.Data.RawRow(i))
-			if err != nil {
-				return nil, "", "", err
-			}
-			buf.Write(raw)
-			buf.WriteByte('\n')
-		}
-		return buf.Bytes(), "application/x-ndjson", "ndjson", nil
-	case "binary":
-		w := codec.NewWriter(&buf)
-		if err := w.WriteHeader(ds.Names, false); err != nil {
-			return nil, "", "", err
-		}
-		if err := w.WriteBatch(ds.Data, nil); err != nil {
-			return nil, "", "", err
-		}
-		if err := w.Close(); err != nil {
-			return nil, "", "", err
-		}
-		return buf.Bytes(), codec.ContentType, codec.FormatName, nil
+	w := f.NewWriter(&buf)
+	if err := w.WriteHeader(ds.Names, false); err != nil {
+		return nil, err
 	}
-	return nil, "", "", fmt.Errorf("unknown wire format %q (want csv, json or binary)", wire)
+	if err := w.WriteBatch(ds.Data, nil); err != nil {
+		return nil, err
+	}
+	if err := w.Close(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 func run(args []string, stdout io.Writer) error {
@@ -526,11 +505,19 @@ func run(args []string, stdout io.Writer) error {
 	}
 	ds = ds.DropIDs()
 	ds.Labels = nil
-	var buf bytes.Buffer
-	if err := dataset.WriteCSV(&buf, ds); err != nil {
+	name := *wire
+	if name == "json" {
+		name = codec.NDJSON.Name // -wire json is an alias
+	}
+	format, err := codec.Lookup(name)
+	if err != nil {
+		return fmt.Errorf("-wire: %w", err)
+	}
+	csvBody, err := render(codec.CSV, ds)
+	if err != nil {
 		return err
 	}
-	body, bodyCT, formatQ, err := renderWire(ds, *wire)
+	body, err := render(format, ds)
 	if err != nil {
 		return err
 	}
@@ -543,7 +530,7 @@ func run(args []string, stdout io.Writer) error {
 		MaxIdleConns:        4 * *concurrency,
 		MaxIdleConnsPerHost: 2 * *concurrency,
 	}}
-	h := &harness{csv: buf.String(), mix: mix, wire: *wire, body: body, bodyCT: bodyCT, formatQ: formatQ}
+	h := &harness{csv: csvBody, mix: mix, wire: *wire, format: format, body: body}
 	for i := 0; i < *nOwners; i++ {
 		cl := ppclient.New(nodes[i%len(nodes)], fmt.Sprintf("loadgen-%d", i))
 		cl.HTTPClient = httpc

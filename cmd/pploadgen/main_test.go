@@ -15,8 +15,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
+
+	"ppclust/internal/codec"
 )
 
 func TestParseMix(t *testing.T) {
@@ -284,10 +287,10 @@ func TestLoadgenWireFormats(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/datasets", func(w http.ResponseWriter, r *http.Request) {
 		n, _ := io.Copy(io.Discard, r.Body)
-		// Setup seeds via ppclient CSV; only format-tagged measured
-		// uploads are recorded.
-		if f := r.URL.Query().Get("format"); f != "" {
-			last.Store(&seen{ct: r.Header.Get("Content-Type"), format: f, body: n})
+		// Setup seeds each owner's base dataset via ppclient CSV; only
+		// the measured uploads, named lg<i>, are recorded.
+		if q := r.URL.Query(); strings.HasPrefix(q.Get("name"), "lg") {
+			last.Store(&seen{ct: r.Header.Get("Content-Type"), format: q.Get("format"), body: n})
 		}
 		w.Header().Set("X-Ppclust-Token", "tok")
 		w.WriteHeader(http.StatusCreated)
@@ -302,7 +305,7 @@ func TestLoadgenWireFormats(t *testing.T) {
 
 	bytesOut := map[string]float64{}
 	for wire, wantCT := range map[string]string{
-		"csv": "text/csv", "json": "application/x-ndjson", "binary": "application/x-ppclust-rows",
+		"csv": codec.CSV.ContentType, "json": "application/x-ndjson", "binary": "application/x-ppclust-rows",
 	} {
 		var out bytes.Buffer
 		err := run([]string{

@@ -1,7 +1,10 @@
-// Package codec implements the binary row-batch wire format
-// application/x-ppclust-rows: little-endian float64 batches framed so a
-// dataset can flow from the datastore's binary segment files through the
-// block cache to the socket (and back) without a float↔text conversion.
+// Package codec owns the row wire formats — CSV, NDJSON and the framed
+// binary application/x-ppclust-rows — behind one table (Format, in
+// format.go) that the daemon, ppclient and pploadgen all go through, so a
+// client encodes rows the way the server decodes them. The binary format
+// frames little-endian float64 batches so a dataset can flow from the
+// datastore's binary segment files through the block cache to the socket
+// (and back) without a float↔text conversion.
 //
 // Stream layout (all integers little-endian):
 //
@@ -234,7 +237,7 @@ func (w *Writer) Close() error {
 // rows then come through one of two surfaces, each ending in io.EOF only
 // after a *complete* stream (header, zero or more batches, end frame):
 //
-//   - ReadRows(dst) is the batch contract the daemon's row readers share:
+//   - ReadRows(dst) is the batch contract of every RowReader:
 //     it fills the caller's buffer with whole rows, straight from the
 //     buffered wire, across frame boundaries, and returns short only
 //     with io.EOF or an error.

@@ -1,9 +1,10 @@
-// Row codecs for ppclustd: incremental readers and writers for the three
-// wire formats the service speaks — CSV (with a header row), NDJSON (one
-// JSON array of numbers per line) and the framed binary row-batch format
-// from internal/codec. All sides are streaming — the server never needs a
-// whole dataset in memory to recover or stream-protect.
-package main
+package codec
+
+// The format table: one entry per row wire format, each with its reader
+// and writer, and the one negotiation rule. The text formats live here
+// too — CSV (a header row of names, then one record of numbers per row)
+// and NDJSON (one JSON array of numbers per line, names synthesized as
+// c0..c{n-1}); the binary format is codec.go's Reader and Writer.
 
 import (
 	"bufio"
@@ -17,108 +18,110 @@ import (
 	"strconv"
 	"strings"
 
-	"ppclust/internal/codec"
 	"ppclust/internal/matrix"
-	"ppclust/internal/service"
 )
 
-const (
-	formatCSV    = "csv"
-	formatNDJSON = "ndjson"
-	formatBinary = codec.FormatName
-)
-
-// resolveFormat picks the wire format from an explicit query value, the
-// request Content-Type, or (for body-less requests like GET rows) the
-// Accept header, defaulting to CSV.
-func resolveFormat(query string, header http.Header) (string, error) {
-	switch query {
-	case formatCSV, formatNDJSON, formatBinary:
-		return query, nil
-	case "":
-	default:
-		return "", fmt.Errorf("unknown format %q (want csv, ndjson or binary)", query)
-	}
-	ct := header.Get("Content-Type")
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
-	}
-	switch strings.TrimSpace(ct) {
-	case "application/x-ndjson", "application/ndjson", "application/jsonl":
-		return formatNDJSON, nil
-	case codec.ContentType:
-		return formatBinary, nil
-	}
-	if strings.Contains(header.Get("Accept"), codec.ContentType) {
-		return formatBinary, nil
-	}
-	return formatCSV, nil
+// RowReader is a stream of numeric rows, read whole rows at a time.
+type RowReader interface {
+	// Names returns the column names, reading the stream's header (or
+	// first row) if needed; nil when the stream is empty or unreadable,
+	// which the next read reports.
+	Names() []string
+	// ReadRows fills dst with whole rows of len(Names()) values and
+	// returns how many it filled; those rows are valid even alongside an
+	// error. It returns short only with io.EOF or an error.
+	ReadRows(dst []float64) (int, error)
 }
 
-func contentType(format string) string {
-	switch format {
-	case formatNDJSON:
-		return "application/x-ndjson"
-	case formatBinary:
-		return codec.ContentType
-	}
-	return "text/csv; charset=utf-8"
-}
-
-// rowReader is service.RowSource: Names reads the header (CSV, binary)
-// or first row (NDJSON) on first use; ReadRows parses whole rows straight
-// into the caller's buffer and ends in io.EOF.
-type rowReader = service.RowSource
-
-// rowWriter emits numeric rows a block at a time; the binary format
-// writes each block as one batch frame. Close marks the stream complete
-// (the binary format writes its end frame there — a response aborted
-// before Close reads as truncated on the client, never as a
-// short-but-valid dataset); for the text formats it is a flush.
-type rowWriter interface {
-	WriteNames(names []string) error
-	WriteBatch(b *matrix.Dense) error
+// RowWriter writes a row stream: the header, batches of rows, then Close,
+// which marks the stream complete — the binary end frame, a flush for the
+// text formats. A response aborted before Close reads as truncated in
+// binary, never as a short-but-valid dataset. Only the binary format
+// carries labels: the text writers refuse a labeled header and write no
+// labels.
+type RowWriter interface {
+	WriteHeader(names []string, labeled bool) error
+	WriteBatch(b *matrix.Dense, labels []int) error
 	Flush() error
 	Close() error
 }
 
-func newRowReader(format string, r io.Reader) rowReader {
-	switch format {
-	case formatNDJSON:
-		sc := bufio.NewScanner(r)
-		sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-		return &ndjsonReader{sc: sc}
-	case formatBinary:
-		return codec.NewReader(r)
+// Format is one row wire format: the name a `format=` query selects it
+// by, the Content-Type its bodies carry, and its reader and writer.
+type Format struct {
+	Name        string
+	ContentType string
+	NewReader   func(io.Reader) RowReader
+	NewWriter   func(io.Writer) RowWriter
+}
+
+// The format table.
+var (
+	CSV    = &Format{"csv", "text/csv; charset=utf-8", newCSVReader, newCSVWriter}
+	NDJSON = &Format{"ndjson", "application/x-ndjson", newNDJSONReader, newNDJSONWriter}
+	Binary = &Format{FormatName, ContentType,
+		func(r io.Reader) RowReader { return NewReader(r) },
+		func(w io.Writer) RowWriter { return NewWriter(w) }}
+)
+
+// Lookup returns the format a `format=` value names.
+func Lookup(name string) (*Format, error) {
+	for _, f := range []*Format{CSV, NDJSON, Binary} {
+		if f.Name == name {
+			return f, nil
+		}
 	}
+	return nil, fmt.Errorf("unknown format %q (want csv, ndjson or binary)", name)
+}
+
+// Negotiate picks one exchange's format: a `format=` query value wins,
+// then the Content-Type (application/x-ndjson, application/ndjson and
+// application/jsonl mean NDJSON, application/x-ppclust-rows binary;
+// parameters are ignored), then an Accept header naming binary, which is
+// how a body-less GET asks for it. The default is CSV.
+func Negotiate(query string, h http.Header) (*Format, error) {
+	if query != "" {
+		return Lookup(query)
+	}
+	ct, _, _ := strings.Cut(h.Get("Content-Type"), ";")
+	switch strings.TrimSpace(ct) {
+	case "application/x-ndjson", "application/ndjson", "application/jsonl":
+		return NDJSON, nil
+	case ContentType:
+		return Binary, nil
+	}
+	if strings.Contains(h.Get("Accept"), ContentType) {
+		return Binary, nil
+	}
+	return CSV, nil
+}
+
+var errTextLabels = errors.New("labeled rows need the binary format")
+
+func newCSVReader(r io.Reader) RowReader {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
 	cr.ReuseRecord = true
 	return &csvReader{cr: cr}
 }
 
-func newRowWriter(format string, w io.Writer) rowWriter {
-	switch format {
-	case formatNDJSON:
-		return &ndjsonWriter{w: bufio.NewWriter(w)}
-	case formatBinary:
-		return &binaryWriter{bw: codec.NewWriter(w)}
-	}
+func newCSVWriter(w io.Writer) RowWriter {
 	// csv.NewWriter over a *bufio.Writer writes into that same buffer, so
 	// the header it quotes and the rows csvWriter appends stay in order.
 	bw := bufio.NewWriter(w)
 	return &csvWriter{bw: bw, cw: csv.NewWriter(bw)}
 }
 
-// binaryWriter adapts codec.Writer to the rowWriter contract.
-type binaryWriter struct {
-	bw *codec.Writer
+func newNDJSONReader(r io.Reader) RowReader {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	return &ndjsonReader{sc: sc}
 }
 
-func (b *binaryWriter) WriteNames(names []string) error  { return b.bw.WriteHeader(names, false) }
-func (b *binaryWriter) WriteBatch(m *matrix.Dense) error { return b.bw.WriteBatch(m, nil) }
-func (b *binaryWriter) Flush() error                     { return b.bw.Flush() }
-func (b *binaryWriter) Close() error                     { return b.bw.Close() }
+func newNDJSONWriter(w io.Writer) RowWriter {
+	bw := bufio.NewWriter(w)
+	return &ndjsonWriter{w: bw, enc: json.NewEncoder(bw)}
+}
 
 // csvReader parses a header row of names followed by numeric records.
 type csvReader struct {
@@ -245,9 +248,14 @@ type csvWriter struct {
 	line []byte
 }
 
-func (c *csvWriter) WriteNames(names []string) error { return c.cw.Write(names) }
+func (c *csvWriter) WriteHeader(names []string, labeled bool) error {
+	if labeled {
+		return errTextLabels
+	}
+	return c.cw.Write(names)
+}
 
-func (c *csvWriter) WriteBatch(b *matrix.Dense) error {
+func (c *csvWriter) WriteBatch(b *matrix.Dense, _ []int) error {
 	for i := 0; i < b.Rows(); i++ {
 		line := c.line[:0]
 		for j, v := range b.RawRow(i) {
@@ -269,23 +277,23 @@ func (c *csvWriter) Flush() error { return c.bw.Flush() }
 // Close is a flush: CSV has no stream terminator.
 func (c *csvWriter) Close() error { return c.Flush() }
 
+// ndjsonWriter writes each row as json.Marshal would, then a newline.
 type ndjsonWriter struct {
-	w *bufio.Writer
+	w   *bufio.Writer
+	enc *json.Encoder
 }
 
-// WriteNames is a no-op for NDJSON: the format carries bare rows.
-func (n *ndjsonWriter) WriteNames([]string) error { return nil }
+// WriteHeader writes nothing: NDJSON carries bare rows.
+func (n *ndjsonWriter) WriteHeader(_ []string, labeled bool) error {
+	if labeled {
+		return errTextLabels
+	}
+	return nil
+}
 
-func (n *ndjsonWriter) WriteBatch(b *matrix.Dense) error {
+func (n *ndjsonWriter) WriteBatch(b *matrix.Dense, _ []int) error {
 	for i := 0; i < b.Rows(); i++ {
-		raw, err := json.Marshal(b.RawRow(i))
-		if err != nil {
-			return err
-		}
-		if _, err := n.w.Write(raw); err != nil {
-			return err
-		}
-		if err := n.w.WriteByte('\n'); err != nil {
+		if err := n.enc.Encode(b.RawRow(i)); err != nil {
 			return err
 		}
 	}

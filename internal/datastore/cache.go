@@ -60,8 +60,9 @@ func NewBlockCache(maxBytes int64) *BlockCache {
 	}
 }
 
+// blockBytes is the memory a block pins: its backing array's capacity.
 func blockBytes(b *matrix.Dense) int64 {
-	return int64(b.Rows()) * int64(b.Cols()) * 8
+	return int64(cap(b.Raw())) * 8
 }
 
 // GetOrLoad returns the cached block for key, or runs load exactly once

@@ -327,6 +327,42 @@ func TestBlockCacheStaysInBudget(t *testing.T) {
 	}
 }
 
+// TestWriteThroughCountsBlockCapacity: a block written through on ingest
+// is accounted at its backing array's capacity, and a Builder's partial
+// last block keeps no room beyond its rows — a 2 000×5 dataset's one
+// block pins the 80 000 B of its values, not the 327 680 B of
+// DefaultBlockRows rows.
+func TestWriteThroughCountsBlockCapacity(t *testing.T) {
+	d := openTestDir(t, t.TempDir())
+	b, err := NewBuilder("alice", "d", []string{"a", "b", "c", "d", "e"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		if err := b.Append([]float64{float64(i), 1, 2, 3, 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := b.Finish(time.Unix(1700000000, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put(ds); err != nil {
+		t.Fatal(err)
+	}
+	var backing int64
+	err = ds.Blocks(func(m *matrix.Dense) error {
+		backing += int64(cap(m.Raw())) * 8
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Cache().Stats().Bytes; got != backing || backing != 2000*5*8 {
+		t.Fatalf("cache accounts %d B for a block whose backing array is %d B, want %d", got, backing, 2000*5*8)
+	}
+}
+
 // TestBlockCacheSingleFlight: concurrent GetOrLoad of one key runs the
 // loader exactly once; everyone else waits and shares the result.
 func TestBlockCacheSingleFlight(t *testing.T) {

@@ -260,6 +260,11 @@ func (b *Builder) Finish(now time.Time) (*Dataset, error) {
 	if b.meta.Rows == 0 {
 		return nil, fmt.Errorf("%w: empty dataset", ErrBadData)
 	}
+	if b.curRows > 0 {
+		// The last block is partial: copy it out of its room for
+		// blockRows rows, which it would pin for as long as it lives.
+		b.cur = append(make([]float64, 0, len(b.cur)), b.cur...)
+	}
 	b.flush()
 	meta := b.meta
 	meta.Labeled = b.labels != nil

@@ -10,23 +10,13 @@ import (
 	"io"
 	"sync"
 
+	"ppclust/internal/codec"
 	"ppclust/internal/matrix"
 )
 
-// RowSource is a stream of numeric rows, read whole rows at a time.
-// cmd/ppclustd's CSV, NDJSON and binary readers satisfy it; an embedding
-// program can hand the services an in-memory implementation (see
-// SliceRows).
-type RowSource interface {
-	// Names returns the column names, reading the stream's header (or
-	// first row) if needed; nil when the stream is empty or unreadable,
-	// which the next read reports.
-	Names() []string
-	// ReadRows fills dst with whole rows of len(Names()) values and
-	// returns how many it filled; those rows are valid even alongside an
-	// error. It returns short only with io.EOF or an error.
-	ReadRows(dst []float64) (int, error)
-}
+// RowSource is a stream of numeric rows: internal/codec's readers (CSV,
+// NDJSON, binary) or, in an embedding program, SliceRows.
+type RowSource = codec.RowReader
 
 // SliceRows adapts an in-memory slice of rows to a RowSource — the
 // embedded-use counterpart of a CSV body.

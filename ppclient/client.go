@@ -15,7 +15,6 @@ package ppclient
 import (
 	"bytes"
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,7 +22,6 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -82,10 +80,10 @@ type Client struct {
 	RetryBackoff    time.Duration
 	RetryMaxBackoff time.Duration
 	// Wire alone selects the row wire format of the structured-row calls
-	// (UploadDataset, Contribute, DownloadDatasetRows): WireCSV sends and
-	// asks for CSV; anything else, empty included, the framed binary
-	// row-batch format. Nothing is probed: a daemon that cannot read
-	// binary answers 400, which reaches the caller as an *APIError.
+	// (UploadDataset, Contribute, DownloadDatasetRows): WireCSV, or
+	// WireBinary, which empty also means. Any other value fails before a
+	// request is sent. Nothing is probed: a daemon that cannot read the
+	// format answers 400, which reaches the caller as an *APIError.
 	Wire string
 
 	// ringTable, when loaded by UseRing, routes owner-scoped requests
@@ -254,58 +252,54 @@ func (c *Client) JoinFederation(ctx context.Context, id string) (*Federation, er
 // protects the rows under the federation's shared transform and stores
 // only the protected release; when the owner is the coordinator and the
 // federation is still open, this contribution fits and freezes the
-// shared key. Rows travel as framed binary batches unless Wire is
-// WireCSV.
+// shared key. Rows travel in the format Wire names.
 func (c *Client) Contribute(ctx context.Context, id string, columns []string, rows [][]float64) (*Federation, error) {
-	if c.Wire != WireCSV {
-		return c.contributeBinary(ctx, id, columns, rows)
-	}
-	buf, err := renderCSV(columns, rows)
+	f, err := c.wire()
 	if err != nil {
 		return nil, err
 	}
-	return c.ContributeCSV(ctx, id, buf)
+	buf, err := renderRows(f, columns, rows)
+	if err != nil {
+		return nil, err
+	}
+	return postRows[Federation](ctx, c, "/v1/federations/"+id+"/contribute", f, buf)
 }
 
-func (c *Client) contributeBinary(ctx context.Context, id string, columns []string, rows [][]float64) (*Federation, error) {
-	buf, err := renderBinary(columns, rows)
-	if err != nil {
-		return nil, err
+// wire returns the codec format Wire names.
+func (c *Client) wire() (*codec.Format, error) {
+	switch c.Wire {
+	case "", WireBinary:
+		return codec.Binary, nil
+	case WireCSV:
+		return codec.CSV, nil
 	}
-	req, err := c.newRequest(ctx, http.MethodPost, "/v1/federations/"+id+"/contribute?format="+WireBinary, buf)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", codec.ContentType)
-	var out Federation
-	if err := c.exec(req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return nil, fmt.Errorf("ppclient: unknown Wire %q (want %q or %q)", c.Wire, WireBinary, WireCSV)
 }
 
-// frameRows caps the rows of one batch frame renderBinary writes.
+// frameRows caps the rows of one batch renderRows writes.
 const frameRows = 4096
 
-// renderBinary frames a header plus numeric rows as binary row batches of
-// at most frameRows rows, each gathered into one reused buffer.
-func renderBinary(columns []string, rows [][]float64) (*bytes.Buffer, error) {
+// renderRows writes a header plus numeric rows in format f as batches of
+// at most frameRows rows (one frame each in binary), each gathered into
+// one reused buffer.
+func renderRows(f *codec.Format, columns []string, rows [][]float64) (*bytes.Buffer, error) {
 	var buf bytes.Buffer
-	w := codec.NewWriter(&buf)
+	w := f.NewWriter(&buf)
 	if err := w.WriteHeader(columns, false); err != nil {
 		return nil, err
 	}
 	cols := len(columns)
 	frame := make([]float64, 0, min(len(rows), frameRows)*cols)
 	for lo := 0; lo < len(rows); lo += frameRows {
+		batch := rows[lo:min(lo+frameRows, len(rows))]
 		frame = frame[:0]
-		for _, row := range rows[lo:min(lo+frameRows, len(rows))] {
+		for _, row := range batch {
 			if len(row) != cols {
 				return nil, fmt.Errorf("ppclient: row has %d values, schema has %d columns", len(row), cols)
 			}
 			frame = append(frame, row...)
 		}
-		if err := w.WriteBatch(matrix.NewDense(len(frame)/cols, cols, frame), nil); err != nil {
+		if err := w.WriteBatch(matrix.NewDense(len(batch), cols, frame), nil); err != nil {
 			return nil, err
 		}
 	}
@@ -315,45 +309,26 @@ func renderBinary(columns []string, rows [][]float64) (*bytes.Buffer, error) {
 	return &buf, nil
 }
 
-// renderCSV writes a header row of column names and numeric rows.
-func renderCSV(columns []string, rows [][]float64) (*bytes.Buffer, error) {
-	var buf bytes.Buffer
-	w := csv.NewWriter(&buf)
-	if err := w.Write(columns); err != nil {
+// postRows POSTs a row body in format f, named by both the format= query
+// and the Content-Type, and decodes the JSON answer.
+func postRows[T any](ctx context.Context, c *Client, path string, f *codec.Format, body io.Reader) (*T, error) {
+	req, err := c.newRequest(ctx, http.MethodPost, path, body)
+	if err != nil {
 		return nil, err
 	}
-	rec := make([]string, len(columns))
-	for _, row := range rows {
-		if len(row) != len(columns) {
-			return nil, fmt.Errorf("ppclient: row has %d values, schema has %d columns", len(row), len(columns))
-		}
-		for j, v := range row {
-			rec[j] = strconv.FormatFloat(v, 'g', -1, 64)
-		}
-		if err := w.Write(rec); err != nil {
-			return nil, err
-		}
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
+	req.URL.RawQuery += "&format=" + f.Name
+	req.Header.Set("Content-Type", f.ContentType)
+	var out T
+	if err := c.exec(req, &out); err != nil {
 		return nil, err
 	}
-	return &buf, nil
+	return &out, nil
 }
 
 // ContributeCSV uploads a partition already rendered as CSV (header row
 // of column names, then numeric rows).
 func (c *Client) ContributeCSV(ctx context.Context, id string, body io.Reader) (*Federation, error) {
-	req, err := c.newRequest(ctx, http.MethodPost, "/v1/federations/"+id+"/contribute", body)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "text/csv")
-	var out Federation
-	if err := c.exec(req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return postRows[Federation](ctx, c, "/v1/federations/"+id+"/contribute", codec.CSV, body)
 }
 
 // WithdrawContribution removes the owner's own contribution (before seal).
@@ -430,74 +405,38 @@ func (c *Client) DownloadDataset(ctx context.Context, name string) (string, erro
 }
 
 // DownloadDatasetRows fetches one of the owner's stored datasets decoded
-// into column names and numeric rows. Unless Wire is WireCSV it asks for
-// the framed binary format — no float↔text conversion on either side.
+// into column names and numeric rows, in the format Wire names — by
+// default binary frames, with no float↔text conversion on either side.
 func (c *Client) DownloadDatasetRows(ctx context.Context, name string) ([]string, [][]float64, error) {
-	if c.Wire != WireCSV {
-		return c.downloadRowsBinary(ctx, name)
-	}
-	raw, err := c.DownloadDataset(ctx, name)
+	f, err := c.wire()
 	if err != nil {
 		return nil, nil, err
 	}
-	return parseCSVRows(strings.NewReader(raw))
-}
-
-func (c *Client) downloadRowsBinary(ctx context.Context, name string) ([]string, [][]float64, error) {
 	req, err := c.newRequest(ctx, http.MethodGet,
-		"/v1/datasets/"+url.PathEscape(name)+"/rows?format="+WireBinary, nil)
+		"/v1/datasets/"+url.PathEscape(name)+"/rows?format="+f.Name, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	req.Header.Set("Accept", codec.ContentType)
+	req.Header.Set("Accept", f.ContentType)
 	raw, err := c.do(req)
 	if err != nil {
 		return nil, nil, err
 	}
-	rd := codec.NewReader(bytes.NewReader(raw))
+	rd := f.NewReader(bytes.NewReader(raw))
 	var rows [][]float64
 	for {
-		row, err := rd.Read()
+		row := make([]float64, len(rd.Names()))
+		n, err := rd.ReadRows(row)
+		if n == 1 {
+			rows = append(rows, row)
+		}
 		if errors.Is(err, io.EOF) {
-			break
+			return rd.Names(), rows, nil
 		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("ppclient: decoding binary rows: %w", err)
+			return nil, nil, fmt.Errorf("ppclient: decoding %s rows: %w", f.Name, err)
 		}
-		rows = append(rows, row)
 	}
-	return rd.Names(), rows, nil
-}
-
-// parseCSVRows decodes a header row of names plus numeric records.
-func parseCSVRows(r io.Reader) ([]string, [][]float64, error) {
-	cr := csv.NewReader(r)
-	cr.TrimLeadingSpace = true
-	var names []string
-	var rows [][]float64
-	for {
-		rec, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		if names == nil {
-			names = rec
-			continue
-		}
-		row := make([]float64, len(rec))
-		for j, field := range rec {
-			v, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("ppclient: row %d field %d: %w", len(rows), j, err)
-			}
-			row[j] = v
-		}
-		rows = append(rows, row)
-	}
-	return names, rows, nil
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -744,41 +683,27 @@ type DatasetMeta struct {
 
 // UploadDataset uploads rows as the owner's named dataset. The first
 // upload for an unknown owner claims the owner name; the minted token is
-// captured into c.Token. Rows travel as framed binary batches unless
-// Wire is WireCSV.
+// captured into c.Token. Rows travel in the format Wire names.
 func (c *Client) UploadDataset(ctx context.Context, name string, columns []string, rows [][]float64) (*DatasetMeta, error) {
-	if c.Wire != WireCSV {
-		return c.uploadDatasetBinary(ctx, name, columns, rows)
-	}
-	buf, err := renderCSV(columns, rows)
+	f, err := c.wire()
 	if err != nil {
 		return nil, err
 	}
-	return c.UploadDatasetCSV(ctx, name, buf, false)
-}
-
-func (c *Client) uploadDatasetBinary(ctx context.Context, name string, columns []string, rows [][]float64) (*DatasetMeta, error) {
-	buf, err := renderBinary(columns, rows)
+	buf, err := renderRows(f, columns, rows)
 	if err != nil {
 		return nil, err
 	}
-	path := "/v1/datasets?name=" + url.QueryEscape(name) + "&format=" + WireBinary
-	req, err := c.newRequest(ctx, http.MethodPost, path, buf)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", codec.ContentType)
-	var out DatasetMeta
-	if err := c.exec(req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return c.upload(ctx, name, f, buf, false)
 }
 
 // UploadDatasetCSV uploads a dataset already rendered as CSV (header row
 // of column names, then numeric rows). labeledLast marks the final column
 // as ground-truth labels (the daemon's labels=last mode).
 func (c *Client) UploadDatasetCSV(ctx context.Context, name string, body io.Reader, labeledLast bool) (*DatasetMeta, error) {
+	return c.upload(ctx, name, codec.CSV, body, labeledLast)
+}
+
+func (c *Client) upload(ctx context.Context, name string, f *codec.Format, body io.Reader, labeledLast bool) (*DatasetMeta, error) {
 	// The name is caller-supplied: escape it so a crafted value cannot
 	// smuggle extra query parameters (e.g. "x&owner=evil") past the
 	// server's own parsing.
@@ -786,16 +711,7 @@ func (c *Client) UploadDatasetCSV(ctx context.Context, name string, body io.Read
 	if labeledLast {
 		path += "&labels=last"
 	}
-	req, err := c.newRequest(ctx, http.MethodPost, path, body)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "text/csv")
-	var out DatasetMeta
-	if err := c.exec(req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return postRows[DatasetMeta](ctx, c, path, f, body)
 }
 
 // Datasets lists the owner's stored datasets.

@@ -377,7 +377,7 @@ func TestWireChosenNotProbed(t *testing.T) {
 			w.Write([]byte(`{"error":{"code":"invalid","message":"unknown format \"binary\" (want csv or ndjson)"}}`))
 			return
 		}
-		if ct := r.Header.Get("Content-Type"); ct != "text/csv" {
+		if ct := r.Header.Get("Content-Type"); ct != codec.CSV.ContentType {
 			t.Errorf("csv upload content-type = %q", ct)
 		}
 		body, _ := io.ReadAll(r.Body)
@@ -409,6 +409,30 @@ func TestWireChosenNotProbed(t *testing.T) {
 	}
 }
 
+// TestUnknownWireFailsBeforeRequest: a Wire other than WireBinary or
+// WireCSV — the daemon's ndjson included — is an error from every
+// structured-row call, and nothing is sent.
+func TestUnknownWireFailsBeforeRequest(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		t.Errorf("unexpected call %s %s", r.Method, r.URL)
+	}))
+	defer ts.Close()
+	ctx := context.Background()
+	for _, wire := range []string{"xml", "ndjson"} {
+		c := New(ts.URL, "alice")
+		c.Wire = wire
+		if _, err := c.UploadDataset(ctx, "d", []string{"a"}, [][]float64{{1}}); err == nil {
+			t.Errorf("UploadDataset accepted Wire=%s", wire)
+		}
+		if _, err := c.Contribute(ctx, "f", []string{"a"}, [][]float64{{1}}); err == nil {
+			t.Errorf("Contribute accepted Wire=%s", wire)
+		}
+		if _, _, err := c.DownloadDatasetRows(ctx, "d"); err == nil {
+			t.Errorf("DownloadDatasetRows accepted Wire=%s", wire)
+		}
+	}
+}
+
 // TestRenderBinaryFrames: binary bodies go out in frames of at most
 // 4 096 rows that read back as the rows given, and a row of the wrong
 // width is refused before anything is sent.
@@ -417,7 +441,7 @@ func TestRenderBinaryFrames(t *testing.T) {
 	for i := range rows {
 		rows[i] = []float64{float64(i), -float64(i) / 3}
 	}
-	buf, err := renderBinary([]string{"a", "b"}, rows)
+	buf, err := renderRows(codec.Binary, []string{"a", "b"}, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +467,7 @@ func TestRenderBinaryFrames(t *testing.T) {
 		t.Fatalf("frames of %v rows, want 4096, 4096, 808", frames)
 	}
 	rows[5000] = []float64{1}
-	if _, err := renderBinary([]string{"a", "b"}, rows); err == nil {
+	if _, err := renderRows(codec.Binary, []string{"a", "b"}, rows); err == nil {
 		t.Fatal("a ragged row was framed")
 	}
 }
