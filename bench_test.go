@@ -397,7 +397,7 @@ func BenchmarkMultipartyJoin(b *testing.B) {
 
 // BenchmarkEngineProtectParallel measures the ppclustd serving engine on a
 // 100k x 16 workload: the serial facade path first, then the worker-pool
-// engine's cache-blocked columnar kernel at 1/2/4/8 workers
+// engine's blocked fit kernel at 1/2/4/8 workers
 // ("workers=N"). The arena variant reuses caller-owned buffers across
 // iterations (steady-state protect, near-zero allocation).
 func BenchmarkEngineProtectParallel(b *testing.B) {

@@ -3,7 +3,7 @@ package main
 // BenchmarkWireIngestProtect measures the served ingest-to-protect path
 // end to end — HTTP body in, parsed rows through the streaming protector,
 // protected release out — once per wire format over identical 20k x 8
-// data. The columnar engine is the same in both; what the sub-benches
+// data. The engine is the same in both; what the sub-benches
 // compare is the wire: CSV pays float↔text conversion in both directions,
 // the framed binary format moves the same values as raw little-endian
 // float64 batches. CI runs it three times into BENCH_ppspeed.json, whose

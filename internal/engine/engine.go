@@ -52,10 +52,6 @@ type Engine struct {
 	// scratch pools per-pass partial-reduction buffers so steady-state
 	// serving does not allocate per request.
 	scratch sync.Pool
-	// colScratch pools the full-matrix column-major gather buffer. It is
-	// separate from scratch so a request for a tiny partial buffer never
-	// pins a multi-megabyte gather buffer out of circulation.
-	colScratch sync.Pool
 }
 
 // New returns an engine with the given worker count and row-block size.
@@ -106,12 +102,12 @@ type ProtectOptions struct {
 	// Denominator selects the variance convention; zero value is Sample.
 	Denominator stats.Denominator
 	// Arena, when non-nil, supplies reusable backing memory for the
-	// released matrix (and the columnar gather buffer), so steady-state
-	// protect allocates ~nothing proportional to the data size. The
-	// returned Released matrix aliases the arena: it is only valid until
-	// the arena's next use, and an Arena must not be shared by concurrent
-	// Protect calls. ReleaseInto builds one that releases into a caller
-	// buffer, such as the input's own.
+	// released matrix, so steady-state protect allocates ~nothing
+	// proportional to the data size. The returned Released matrix
+	// aliases the arena: it is only valid until the arena's next use,
+	// and an Arena must not be shared by concurrent Protect calls.
+	// ReleaseInto builds one that releases into a caller buffer, such as
+	// the input's own.
 	Arena *Arena
 }
 
@@ -161,12 +157,16 @@ func (s Secret) validate() error {
 		if len(s.ParamsA) == 0 || len(s.ParamsA) != len(s.ParamsB) {
 			return fmt.Errorf("%w: %d/%d normalization parameters", core.ErrBadInput, len(s.ParamsA), len(s.ParamsB))
 		}
-		for j := range s.ParamsA {
-			if s.Normalization == NormZScore && s.ParamsB[j] == 0 {
+		shift, scale := shiftScale(s.Normalization, s.ParamsA, s.ParamsB)
+		for j, sc := range scale {
+			if s.Normalization == NormZScore && sc == 0 {
 				return fmt.Errorf("%w: zero std for column %d", core.ErrBadInput, j)
 			}
-			if s.Normalization == NormMinMax && s.ParamsB[j] == s.ParamsA[j] {
+			if s.Normalization == NormMinMax && sc == 0 {
 				return fmt.Errorf("%w: empty range for column %d", core.ErrBadInput, j)
+			}
+			if finiteCheck([]float64{shift[j], s.ParamsB[j], sc}) != 0 {
+				return fmt.Errorf("%w: non-finite normalization parameters for column %d", core.ErrBadInput, j)
 			}
 		}
 	case NormNone:
@@ -220,7 +220,7 @@ func (e *Engine) ProtectCtx(ctx context.Context, data *matrix.Dense, opts Protec
 	if err != nil {
 		return nil, err
 	}
-	return e.protectColumnar(ctx, data, opts, pl)
+	return e.fit(ctx, data, opts, pl)
 }
 
 // protectPlan is Protect's validated, defaulted prologue state.
@@ -317,7 +317,8 @@ func (e *Engine) Recover(released *matrix.Dense, s Secret) (*matrix.Dense, error
 }
 
 // fitZScore computes per-column means/stds and rejects zero-variance
-// columns.
+// columns and stds that overflow float64: a column z-scored by an
+// infinite std is all zeros, which no recover can invert.
 func (e *Engine) fitZScore(data *matrix.Dense) (means, stds []float64, err error) {
 	means, stds, err = e.columnMeansStds(data, stats.Sample)
 	if err != nil {
@@ -327,11 +328,15 @@ func (e *Engine) fitZScore(data *matrix.Dense) (means, stds []float64, err error
 		if s == 0 {
 			return nil, nil, fmt.Errorf("%w: column %d has zero variance", core.ErrBadInput, j)
 		}
+		if math.IsInf(s, 1) {
+			return nil, nil, fmt.Errorf("%w: column %d's standard deviation overflows float64", core.ErrBadInput, j)
+		}
 	}
 	return means, stds, nil
 }
 
-// fitMinMax computes per-column mins/maxs and rejects constant columns.
+// fitMinMax computes per-column mins/maxs and rejects constant columns and
+// ranges that overflow float64, which would normalize to NaN.
 func (e *Engine) fitMinMax(data *matrix.Dense) (mins, maxs []float64, err error) {
 	mins, maxs, err = e.columnMinsMaxs(data)
 	if err != nil {
@@ -341,8 +346,29 @@ func (e *Engine) fitMinMax(data *matrix.Dense) (mins, maxs []float64, err error)
 		if mins[j] == maxs[j] {
 			return nil, nil, fmt.Errorf("%w: column %d is constant", core.ErrBadInput, j)
 		}
+		if math.IsInf(maxs[j]-mins[j], 0) {
+			return nil, nil, fmt.Errorf("%w: column %d's range overflows float64", core.ErrBadInput, j)
+		}
 	}
 	return mins, maxs, nil
+}
+
+// shiftScale returns a normalization as v ↦ (v-shift[j])/scale[j]: the
+// means and stds for zscore, the mins and max-min ranges for minmax, and
+// nil for NormNone. A range computed once has the bits of the
+// per-element max-min of internal/norm.
+func shiftScale(method string, a, b []float64) (shift, scale []float64) {
+	switch method {
+	case NormZScore:
+		return a, b
+	case NormMinMax:
+		scale = make([]float64, len(a))
+		for j := range scale {
+			scale[j] = b[j] - a[j]
+		}
+		return a, scale
+	}
+	return nil, nil
 }
 
 // normalizeRow applies the frozen Step 1 parameters to one row in place.

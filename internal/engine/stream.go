@@ -22,11 +22,11 @@ import (
 // The kernel resolves everything the key fixes at construction: one
 // (i, j, cos, sin) entry per pair and the normalization's shift and scale
 // per column. It then walks each row of a block as a subslice of the
-// batch's one backing slice, with the fit path's per-element arithmetic
-// ((v-a)/b, (v-a)/(b-a), then colRotatePair's c*ai + s*aj and
-// -s*ai + c*aj), so a stream release is bit-identical to the fit release
-// of the same rows. Finiteness is checked on the values the kernel
-// writes, without a branch per value.
+// batch's one backing slice, with the fit kernel's per-element arithmetic
+// ((v-a)/b, (v-a)/(b-a), then c*ai + s*aj and -s*ai + c*aj), so a stream
+// release is bit-identical to the fit release of the same rows.
+// Finiteness is checked on the values the kernel writes, without a branch
+// per value.
 //
 // Note the privacy caveat inherited from the paper's model: the PST was
 // verified on the fitting data. If the stream drifts far from the fitted
@@ -66,15 +66,7 @@ func (e *Engine) NewStreamProtector(s Secret) (*StreamProtector, error) {
 // newStreamProtector builds the kernel's tables for a validated secret.
 func (e *Engine) newStreamProtector(s Secret) *StreamProtector {
 	sp := &StreamProtector{eng: e, sec: s, cols: s.Cols(), rots: make([]pairRot, len(s.Key.Pairs))}
-	switch s.Normalization {
-	case NormZScore:
-		sp.shift, sp.scale = s.ParamsA, s.ParamsB
-	case NormMinMax:
-		sp.shift, sp.scale = s.ParamsA, make([]float64, len(s.ParamsA))
-		for j := range sp.scale {
-			sp.scale[j] = s.ParamsB[j] - s.ParamsA[j]
-		}
-	}
+	sp.shift, sp.scale = shiftScale(s.Normalization, s.ParamsA, s.ParamsB)
 	for k, p := range s.Key.Pairs {
 		rad := rotate.Degrees(s.Key.AnglesDeg[k])
 		sp.rots[k] = pairRot{i: p.I, j: p.J, c: math.Cos(rad), s: math.Sin(rad)}

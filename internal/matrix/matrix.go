@@ -157,7 +157,7 @@ func (m *Dense) RawRow(i int) []float64 {
 
 // Raw returns the row-major backing slice, aliasing the matrix storage
 // (len == Rows()*Cols()). Mutating it mutates the matrix. It exists for
-// bulk code paths — columnar kernels and the binary wire codec — that
+// bulk code paths — the engine's kernels and the binary wire codec — that
 // stream the whole matrix without per-row slicing; prefer RawRow/Row
 // everywhere else.
 func (m *Dense) Raw() []float64 { return m.data }

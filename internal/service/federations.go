@@ -218,10 +218,14 @@ func (f *FederationService) contributeFit(id, owner string, v federation.View, s
 	if rho2 == 0 {
 		rho2 = 0.3
 	}
+	// The decoded rows are this request's alone and storeContribution
+	// copies the release, so the release overwrites them instead of
+	// taking a second buffer of their size.
 	res, err := f.c.eng.Protect(data, engine.ProtectOptions{
 		Normalization: norm,
 		Thresholds:    []core.PST{{Rho1: rho1, Rho2: rho2}},
 		Seed:          cfg.Seed,
+		Arena:         engine.ReleaseInto(data.Raw()),
 	})
 	if err != nil {
 		return federation.View{}, classify(err)

@@ -19,6 +19,7 @@ import (
 	"ppclust/internal/federation"
 	"ppclust/internal/jobs"
 	"ppclust/internal/keyring"
+	"ppclust/internal/matrix"
 )
 
 func newTestServices(t *testing.T) *Services {
@@ -135,6 +136,48 @@ func TestEmbeddedUploadProtectEvaluate(t *testing.T) {
 	// original.
 	if !ev.SamePartition || ev.Misclassification != 0 || ev.FMeasure != 1 {
 		t.Fatalf("evaluation = %+v", ev)
+	}
+}
+
+// TestFederationFitInPlace: the coordinator's contribution is released
+// into its own decoded rows, and the stored contribution is bit for bit
+// a fresh Protect release of the same rows at the same seed, over
+// several engine blocks.
+func TestFederationFitInPlace(t *testing.T) {
+	svc := newTestServices(t)
+	cols := []string{"x", "y", "z"}
+	rows := blobs(2500)
+	v, err := svc.Federations.Create("coord", CreateFederationSpec{Name: "inplace", Columns: cols, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Federations.Contribute(v.ID, "coord", &SliceRows{Columns: cols, Rows: rows}); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := svc.Datasets.Open("coord", ContributionDataset(v.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ds.Matrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := engine.New(2, 1024).Protect(matrix.FromRows(rows), engine.ProtectOptions{
+		Normalization: engine.NormZScore,
+		Thresholds:    []core.PST{{Rho1: 0.3, Rho2: 0.3}},
+		Seed:          9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := got.Raw(), want.Released.Raw()
+	if len(g) != len(w) {
+		t.Fatalf("stored %d values, fresh release has %d", len(g), len(w))
+	}
+	for i := range g {
+		if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+			t.Fatalf("value %d: stored %v, fresh release %v", i, g[i], w[i])
+		}
 	}
 }
 
