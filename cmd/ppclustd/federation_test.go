@@ -185,6 +185,10 @@ func TestFederationThreePartyAcceptance(t *testing.T) {
 	if len(res.Assignments) != 240 || res.K != 3 || len(res.Parties) != 3 {
 		t.Fatalf("result shape = k=%d parties=%d assignments=%d", res.K, len(res.Parties), len(res.Assignments))
 	}
+	// A k-means outcome carries its iteration count through the client.
+	if res.Iterations < 1 {
+		t.Fatalf("k-means result reports %d iterations", res.Iterations)
+	}
 
 	// The joint clustering over protected contributions matches
 	// clustering the plaintext union: misclassification error 0.

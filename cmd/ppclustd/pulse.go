@@ -16,16 +16,15 @@ package main
 // goroutine dump, worst traces, history excerpt) per firing.
 //
 // History and alerts answer for the whole ring with ?scope=cluster:
-// peers are asked over the cluster-key-guarded /v1/ring/history and
-// /v1/ring/alerts with a per-peer timeout, and an unreachable peer
-// degrades the response (peer_errors) rather than failing it. Like the
-// rest of the observability plane these routes expose operational
-// metadata only — series names, rates, percentiles, rule states — never
-// dataset rows or key material, so they are unauthenticated and exempt
-// from ring forwarding.
+// every peer is asked, through fanOutJSON, on the same local route a
+// client calls, and an unreachable peer degrades the response
+// (peer_errors) rather than failing it. Like the rest of the
+// observability plane these routes expose operational metadata only —
+// series names, rates, percentiles, rule states — never dataset rows or
+// key material, so they are unauthenticated and exempt from ring
+// forwarding.
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -37,7 +36,6 @@ import (
 
 	"ppclust/internal/metrics"
 	"ppclust/internal/obs"
-	"ppclust/internal/ring"
 	"ppclust/internal/service"
 )
 
@@ -132,19 +130,10 @@ func (s *server) closePulse() {
 	}
 }
 
-// historyView is the GET /v1/metrics/history body.
-type historyView struct {
-	IntervalMs int64               `json:"interval_ms"`
-	Nodes      []string            `json:"nodes,omitempty"`
-	PeerErrors map[string]string   `json:"peer_errors,omitempty"`
-	Truncated  bool                `json:"truncated,omitempty"`
-	Series     []obs.HistorySeries `json:"series"`
-}
-
-// parseHistoryQuery decodes the shared query-parameter grammar of
-// /v1/metrics/history and /v1/ring/history: series= is a comma-separated
-// (and repeatable) substring filter, since= a look-back duration ("5m")
-// or RFC 3339 instant, step= a downsampling bucket with agg= folding.
+// parseHistoryQuery decodes /v1/metrics/history's query parameters:
+// series= is a comma-separated (and repeatable) substring filter,
+// since= a look-back duration ("5m") or RFC 3339 instant, step= a
+// downsampling bucket with agg= folding.
 func parseHistoryQuery(q url.Values) (obs.HistoryQuery, error) {
 	var hq obs.HistoryQuery
 	for _, v := range q["series"] {
@@ -196,7 +185,7 @@ func (s *server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	local, truncated := s.pulse.Query(hq)
-	view := historyView{IntervalMs: int64(s.pulse.Interval() / time.Millisecond), Truncated: truncated, Series: local}
+	view := obs.HistoryView{IntervalMs: int64(s.pulse.Interval() / time.Millisecond), Truncated: truncated, Series: local}
 	switch scope := r.URL.Query().Get("scope"); scope {
 	case "", "local":
 		writeJSON(w, http.StatusOK, view)
@@ -204,20 +193,18 @@ func (s *server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 		for i := range view.Series {
 			view.Series[i].Name = metrics.WithNodeLabel(view.Series[i].Name, s.nodeName())
 		}
-		view.Nodes = []string{s.nodeName()}
-		if s.ring != nil {
-			peers, errs := s.ring.collectHistory(r.Context(), r.URL.Query())
-			for node, pv := range peers {
-				view.Nodes = append(view.Nodes, node)
-				view.Truncated = view.Truncated || pv.Truncated
-				for _, hs := range pv.Series {
-					hs.Name = metrics.WithNodeLabel(hs.Name, node)
-					view.Series = append(view.Series, hs)
-				}
+		// Peers answer the same query in their default, local scope.
+		q := r.URL.Query()
+		q.Del("scope")
+		peers, errs := fanOutJSON[obs.HistoryView](r.Context(), s.ring, "/v1/metrics/history?"+q.Encode())
+		for node, pv := range peers {
+			view.Truncated = view.Truncated || pv.Truncated
+			for _, hs := range pv.Series {
+				hs.Name = metrics.WithNodeLabel(hs.Name, node)
+				view.Series = append(view.Series, hs)
 			}
-			view.PeerErrors = errs
 		}
-		sort.Strings(view.Nodes)
+		view.Nodes, view.PeerErrors = clusterNodes(s.nodeName(), peers), errs
 		sort.Slice(view.Series, func(i, j int) bool { return view.Series[i].Name < view.Series[j].Name })
 		writeJSON(w, http.StatusOK, view)
 	default:
@@ -225,19 +212,11 @@ func (s *server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// alertsView is the GET /v1/alerts body.
-type alertsView struct {
-	Enabled    bool              `json:"enabled"`
-	Nodes      []string          `json:"nodes,omitempty"`
-	PeerErrors map[string]string `json:"peer_errors,omitempty"`
-	Alerts     []obs.Alert       `json:"alerts"`
-}
-
 // handleAlerts serves the live alert instances: this node's by default,
 // every reachable node's with ?scope=cluster. Each alert already
 // carries the node that evaluated it.
 func (s *server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	view := alertsView{Enabled: s.alerts != nil, Alerts: s.alerts.Alerts()}
+	view := obs.AlertList{Enabled: s.alerts != nil, Alerts: s.alerts.Alerts()}
 	if view.Alerts == nil {
 		view.Alerts = []obs.Alert{}
 	}
@@ -245,17 +224,12 @@ func (s *server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	case "", "local":
 		writeJSON(w, http.StatusOK, view)
 	case "cluster":
-		view.Nodes = []string{s.nodeName()}
-		if s.ring != nil {
-			peers, errs := s.ring.collectAlerts(r.Context())
-			for node, pv := range peers {
-				view.Nodes = append(view.Nodes, node)
-				view.Enabled = view.Enabled || pv.Enabled
-				view.Alerts = append(view.Alerts, pv.Alerts...)
-			}
-			view.PeerErrors = errs
+		peers, errs := fanOutJSON[obs.AlertList](r.Context(), s.ring, "/v1/alerts")
+		for _, pv := range peers {
+			view.Enabled = view.Enabled || pv.Enabled
+			view.Alerts = append(view.Alerts, pv.Alerts...)
 		}
-		sort.Strings(view.Nodes)
+		view.Nodes, view.PeerErrors = clusterNodes(s.nodeName(), peers), errs
 		sort.Slice(view.Alerts, func(i, j int) bool {
 			a, b := view.Alerts[i], view.Alerts[j]
 			if a.Rule != b.Rule {
@@ -270,31 +244,6 @@ func (s *server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeErr(w, service.Invalid(fmt.Errorf("unknown scope %q (want local or cluster)", scope)))
 	}
-}
-
-// handleRingHistory serves this node's history to ring peers — the
-// peer-to-peer leg of the cluster-scope fan-out.
-func (s *server) handleRingHistory(w http.ResponseWriter, r *http.Request) {
-	hq, err := parseHistoryQuery(r.URL.Query())
-	if err != nil {
-		writeErr(w, service.Invalid(err))
-		return
-	}
-	series, truncated := s.pulse.Query(hq)
-	writeJSON(w, http.StatusOK, historyView{
-		IntervalMs: int64(s.pulse.Interval() / time.Millisecond),
-		Truncated:  truncated,
-		Series:     series,
-	})
-}
-
-// handleRingAlerts serves this node's alert instances to ring peers.
-func (s *server) handleRingAlerts(w http.ResponseWriter, _ *http.Request) {
-	view := alertsView{Enabled: s.alerts != nil, Alerts: s.alerts.Alerts()}
-	if view.Alerts == nil {
-		view.Alerts = []obs.Alert{}
-	}
-	writeJSON(w, http.StatusOK, view)
 }
 
 // handleIncidentList serves the captured incident bundles, newest first.
@@ -346,68 +295,4 @@ func (s *server) handleIncidentFile(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
 	_, _ = w.Write(raw)
-}
-
-// collectHistory asks every ring peer for its history over the
-// cluster-key-guarded ring route, concurrently, forwarding the client's
-// filter parameters. Unreachable peers land in the error map.
-func (rt *ringRuntime) collectHistory(ctx context.Context, q url.Values) (map[string]historyView, map[string]string) {
-	fq := url.Values{}
-	for _, k := range []string{"series", "since", "step", "agg", "max_series"} {
-		if vs, ok := q[k]; ok {
-			fq[k] = vs
-		}
-	}
-	p := "/v1/ring/history"
-	if enc := fq.Encode(); enc != "" {
-		p += "?" + enc
-	}
-	return fanOutJSON[historyView](rt, ctx, p)
-}
-
-// collectAlerts asks every ring peer for its live alert instances.
-func (rt *ringRuntime) collectAlerts(ctx context.Context) (map[string]alertsView, map[string]string) {
-	return fanOutJSON[alertsView](rt, ctx, "/v1/ring/alerts")
-}
-
-// fanOutJSON GETs one ring path from every peer concurrently with the
-// shared per-peer timeout, returning per-node bodies plus an error map
-// for the peers that could not answer — the same degrade-to-partial
-// contract as scrapePeers and collectTraces.
-func fanOutJSON[T any](rt *ringRuntime, ctx context.Context, path string) (map[string]T, map[string]string) {
-	_, members := rt.ring.Snapshot()
-	type result struct {
-		node string
-		body T
-		err  error
-	}
-	results := make(chan result, len(members))
-	fanned := 0
-	for _, m := range members {
-		if m.ID == rt.self.ID {
-			continue
-		}
-		fanned++
-		go func(m ring.Node) {
-			cctx, cancel := context.WithTimeout(ctx, scopeFanoutTimeout)
-			defer cancel()
-			var body T
-			_, err := rt.roundTrip(cctx, m.Addr, http.MethodGet, path, nil, &body)
-			results <- result{node: m.ID, body: body, err: err}
-		}(m)
-	}
-	perNode := make(map[string]T, fanned)
-	errs := map[string]string{}
-	for i := 0; i < fanned; i++ {
-		res := <-results
-		if res.err != nil {
-			errs[res.node] = res.err.Error()
-			continue
-		}
-		perNode[res.node] = res.body
-	}
-	if len(errs) == 0 {
-		errs = nil
-	}
-	return perNode, errs
 }

@@ -290,7 +290,7 @@ func TestPulseHistoryQueryValidation(t *testing.T) {
 		}
 	}
 	// A valid query on a quiet node answers with an empty series list.
-	var view historyView
+	var view obs.HistoryView
 	resp, body := getJSON(t, ts.URL+"/v1/metrics/history?series=nothing&since=5m&step=30s&agg=max", "", &view)
 	if resp.StatusCode != http.StatusOK || len(view.Series) != 0 {
 		t.Fatalf("valid query: %d %s", resp.StatusCode, body)
@@ -305,7 +305,7 @@ func TestPulseHistoryQueryValidation(t *testing.T) {
 func TestPulseDisabledPlane(t *testing.T) {
 	ts, _ := newTestServer(t)
 
-	var hist historyView
+	var hist obs.HistoryView
 	if resp, body := getJSON(t, ts.URL+"/v1/metrics/history", "", &hist); resp.StatusCode != http.StatusOK {
 		t.Fatalf("history: %d %s", resp.StatusCode, body)
 	}
@@ -313,7 +313,7 @@ func TestPulseDisabledPlane(t *testing.T) {
 		t.Fatalf("history on a pulseless daemon = %+v", hist.Series)
 	}
 
-	var alerts alertsView
+	var alerts obs.AlertList
 	if resp, body := getJSON(t, ts.URL+"/v1/alerts", "", &alerts); resp.StatusCode != http.StatusOK {
 		t.Fatalf("alerts: %d %s", resp.StatusCode, body)
 	}

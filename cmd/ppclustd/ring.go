@@ -37,9 +37,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -414,12 +416,12 @@ func (rt *ringRuntime) worker() {
 	for {
 		select {
 		case ev := <-rt.repl:
-			rt.ship(ev)
+			rt.ship(context.Background(), ev)
 		case <-rt.stop:
 			for {
 				select {
 				case ev := <-rt.repl:
-					rt.ship(ev)
+					rt.ship(context.Background(), ev)
 				default:
 					return
 				}
@@ -428,12 +430,13 @@ func (rt *ringRuntime) worker() {
 	}
 }
 
-// ship mirrors one write event to the successor replicas of its key.
-// Events carry names, not payloads: the current state is read at ship
-// time, so a burst of writes to one owner collapses into whatever is
-// current, and the receiver's last-writer-wins import settles ordering.
-func (rt *ringRuntime) ship(ev service.ReplicationEvent) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+// ship mirrors one write event to the other placement nodes of its key,
+// each event bounded by 10 s within ctx. Events carry names, not
+// payloads: the current state is read at ship time, so a burst of
+// writes to one owner collapses into whatever is current, and the
+// receiver's last-writer-wins import settles ordering.
+func (rt *ringRuntime) ship(ctx context.Context, ev service.ReplicationEvent) {
+	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	var key string
 	switch ev.Kind {
@@ -684,7 +687,8 @@ func (rt *ringRuntime) pullOwner(ctx context.Context, from ring.Node, owner stri
 // drainPush moves every locally held owner's keyring state and datasets
 // to their placement nodes — the planned-leave path, run after this
 // node removed itself from the membership so the placement already
-// reflects the post-leave ring.
+// reflects the post-leave ring. It ships one replication event per
+// owner and per dataset, as the replication worker would.
 func (rt *ringRuntime) drainPush(ctx context.Context) {
 	owners, err := rt.keys.Owners()
 	if err != nil {
@@ -692,37 +696,14 @@ func (rt *ringRuntime) drainPush(ctx context.Context) {
 		return
 	}
 	for _, owner := range owners {
-		exp, err := rt.keys.Export(owner)
-		if err != nil {
-			rt.logger.Warn("leave drain: keyring export", "owner", owner, "err", err.Error())
-			continue
-		}
-		for _, n := range rt.placement(ring.OwnerKey(owner)) {
-			if n.ID == rt.self.ID {
-				continue
-			}
-			if _, err := rt.roundTrip(ctx, n.Addr, http.MethodPost, "/v1/ring/replicate/owner", exp, nil); err != nil {
-				rt.logger.Warn("leave drain: keyring push", "owner", owner, "peer", n.ID, "err", err.Error())
-			}
-		}
+		rt.ship(ctx, service.ReplicationEvent{Kind: service.ReplicateOwner, Owner: owner})
 		metas, err := rt.store.List(owner)
 		if err != nil {
 			rt.logger.Warn("leave drain: dataset list", "owner", owner, "err", err.Error())
 			continue
 		}
 		for _, meta := range metas {
-			ds, err := rt.store.Get(meta.Owner, meta.Name)
-			if err != nil {
-				continue
-			}
-			for _, n := range rt.placement(datasetKey(meta.Owner, meta.Name)) {
-				if n.ID == rt.self.ID {
-					continue
-				}
-				if err := rt.sendDataset(ctx, n.Addr, ds); err != nil {
-					rt.logger.Warn("leave drain: dataset push", "owner", meta.Owner, "dataset", meta.Name, "peer", n.ID, "err", err.Error())
-				}
-			}
+			rt.ship(ctx, service.ReplicationEvent{Kind: service.ReplicateDataset, Owner: meta.Owner, Dataset: meta.Name})
 		}
 	}
 }
@@ -734,16 +715,6 @@ func (rt *ringRuntime) drainPush(ctx context.Context) {
 type ringSyncMsg struct {
 	Epoch int64       `json:"epoch"`
 	Nodes []ring.Node `json:"nodes"`
-}
-
-// ringStatusMsg mirrors ppclient.RingStatus.
-type ringStatusMsg struct {
-	Enabled  bool        `json:"enabled"`
-	Self     string      `json:"self"`
-	Epoch    int64       `json:"epoch"`
-	Vnodes   int         `json:"vnodes"`
-	Replicas int         `json:"replicas"`
-	Nodes    []ring.Node `json:"nodes"`
 }
 
 // registerRoutes installs the ring routes on the daemon mux. GET
@@ -767,8 +738,10 @@ func (rt *ringRuntime) registerRoutes(mux *http.ServeMux) {
 }
 
 // handleRingTrace serves this node's retained record for one trace ID —
-// the peer-to-peer leg of cross-node stitching. 404 means "not retained
-// here", which is an ordinary answer, not a failure.
+// the peer-to-peer leg of cross-node stitching, and the one peer-only
+// observability route: no public route returns a node's own record.
+// 404 means "not retained here", which is an ordinary answer, not a
+// failure.
 func (rt *ringRuntime) handleRingTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	if rt.traces == nil {
@@ -783,23 +756,28 @@ func (rt *ringRuntime) handleRingTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rec)
 }
 
-// scopeFanoutTimeout bounds each per-peer call of the observability
-// fan-outs (trace collection, metrics scraping): slow enough for a
-// loaded peer, fast enough that one dead peer cannot stall the
-// cluster-wide answer.
+// scopeFanoutTimeout bounds each per-peer call of fanOutJSON: slow
+// enough for a loaded peer, fast enough that one dead peer cannot stall
+// the cluster-wide answer.
 const scopeFanoutTimeout = 3 * time.Second
 
-// collectTraces asks every ring peer for its record of the trace,
-// concurrently. A peer without the record (404) contributes nothing;
-// an unreachable or erroring peer lands in the returned error map so
-// the caller can degrade the view instead of failing it.
-func (rt *ringRuntime) collectTraces(ctx context.Context, id string) ([]obs.TraceRecord, map[string]string) {
+// fanOutJSON GETs path from every ring peer concurrently and decodes
+// each body, returning the bodies by node plus an error map (nil when
+// empty) for the peers that could not answer. A peer's 404 means "no
+// record here": neither a body nor an error. With no ring (rt nil) the
+// map is empty. Every cluster view — traces, cluster metrics, and
+// cluster-scope history and alerts — asks its peers through here.
+func fanOutJSON[T any](ctx context.Context, rt *ringRuntime, path string) (map[string]T, map[string]string) {
+	perNode := map[string]T{}
+	if rt == nil {
+		return perNode, nil
+	}
 	_, members := rt.ring.Snapshot()
 	type result struct {
-		node string
-		rec  obs.TraceRecord
-		ok   bool
-		err  error
+		node   string
+		body   T
+		status int
+		err    error
 	}
 	results := make(chan result, len(members))
 	fanned := 0
@@ -811,74 +789,34 @@ func (rt *ringRuntime) collectTraces(ctx context.Context, id string) ([]obs.Trac
 		go func(m ring.Node) {
 			cctx, cancel := context.WithTimeout(ctx, scopeFanoutTimeout)
 			defer cancel()
-			var rec obs.TraceRecord
-			status, err := rt.roundTrip(cctx, m.Addr, http.MethodGet, "/v1/ring/trace?id="+url.QueryEscape(id), nil, &rec)
-			switch {
-			case err == nil:
-				results <- result{node: m.ID, rec: rec, ok: true}
-			case status == http.StatusNotFound:
-				results <- result{node: m.ID}
-			default:
-				results <- result{node: m.ID, err: err}
-			}
+			res := result{node: m.ID}
+			res.status, res.err = rt.roundTrip(cctx, m.Addr, http.MethodGet, path, nil, &res.body)
+			results <- res
 		}(m)
 	}
-	var recs []obs.TraceRecord
-	errs := map[string]string{}
-	for i := 0; i < fanned; i++ {
+	var errs map[string]string
+	for range fanned {
 		res := <-results
 		switch {
-		case res.ok:
-			recs = append(recs, res.rec)
-		case res.err != nil:
+		case res.err == nil:
+			perNode[res.node] = res.body
+		case res.status == http.StatusNotFound:
+		default:
+			if errs == nil {
+				errs = map[string]string{}
+			}
 			errs[res.node] = res.err.Error()
 		}
-	}
-	if len(errs) == 0 {
-		errs = nil
-	}
-	return recs, errs
-}
-
-// scrapePeers fetches every peer's /v1/metrics snapshot concurrently,
-// returning per-node flat maps plus an error map for the peers that
-// could not be scraped.
-func (rt *ringRuntime) scrapePeers(ctx context.Context) (map[string]map[string]int64, map[string]string) {
-	_, members := rt.ring.Snapshot()
-	type result struct {
-		node string
-		snap map[string]int64
-		err  error
-	}
-	results := make(chan result, len(members))
-	fanned := 0
-	for _, m := range members {
-		if m.ID == rt.self.ID {
-			continue
-		}
-		fanned++
-		go func(m ring.Node) {
-			cctx, cancel := context.WithTimeout(ctx, scopeFanoutTimeout)
-			defer cancel()
-			var snap map[string]int64
-			_, err := rt.roundTrip(cctx, m.Addr, http.MethodGet, "/v1/metrics", nil, &snap)
-			results <- result{node: m.ID, snap: snap, err: err}
-		}(m)
-	}
-	perNode := make(map[string]map[string]int64, fanned)
-	errs := map[string]string{}
-	for i := 0; i < fanned; i++ {
-		res := <-results
-		if res.err != nil {
-			errs[res.node] = res.err.Error()
-			continue
-		}
-		perNode[res.node] = res.snap
-	}
-	if len(errs) == 0 {
-		errs = nil
 	}
 	return perNode, errs
+}
+
+// clusterNodes lists self and every peer that answered, sorted: the
+// nodes a cluster view covers.
+func clusterNodes[T any](self string, peers map[string]T) []string {
+	nodes := append(slices.Collect(maps.Keys(peers)), self)
+	slices.Sort(nodes)
+	return nodes
 }
 
 func (rt *ringRuntime) requireClusterKey(next http.HandlerFunc) http.HandlerFunc {
@@ -896,7 +834,7 @@ func (rt *ringRuntime) requireClusterKey(next http.HandlerFunc) http.HandlerFunc
 
 func (rt *ringRuntime) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	epoch, nodes := rt.ring.Snapshot()
-	writeJSON(w, http.StatusOK, ringStatusMsg{
+	writeJSON(w, http.StatusOK, ring.Status{
 		Enabled:  true,
 		Self:     rt.self.ID,
 		Epoch:    epoch,

@@ -631,6 +631,35 @@ func TestRingRestartCatchUp(t *testing.T) {
 	}
 }
 
+// TestRingPlannedLeaveDrains: a node told to leave ({"id": self})
+// pushes everything it holds to the post-leave placement before it
+// answers. With no replicas the owner's keyring and dataset exist only
+// on the leaver, so the new home can serve them with the old token only
+// if the drain shipped both.
+func TestRingPlannedLeaveDrains(t *testing.T) {
+	nodes := startRing(t, 3, 0, "")
+	leaver := nodes[2]
+	owner := ownerHomedOn(t, nodes, leaver.id, 0)
+	csvBody, orig := testCSV(t, 120, 6)
+	_, tok := uploadDataset(t, nodes[0].srv, owner, "d", "", "", csvBody)
+	if tok == "" {
+		t.Fatal("upload minted no token")
+	}
+
+	if resp, body := post(t, leaver.addr+"/v1/ring/leave", `{"id":"`+leaver.id+`"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("leave: %d %s", resp.StatusCode, body)
+	}
+	home := nodeByID(t, nodes, nodes[0].rt.placement(ring.OwnerKey(owner))[0].ID)
+	if home == leaver {
+		t.Fatal("owner still placed on the node that left")
+	}
+	var meta datastore.Meta
+	resp, body := getJSON(t, home.srv.URL+"/v1/datasets/d?owner="+owner, tok, &meta)
+	if resp.StatusCode != http.StatusOK || meta.Rows != orig.Rows() {
+		t.Fatalf("new home %s serving d after the drain: %d %s", home.id, resp.StatusCode, body)
+	}
+}
+
 // TestRingImportKeepsCopyOnFailedTransfer: replication and catch-up
 // build an incoming dataset in full before they replace the local copy.
 // On a 1-node ring holding a labeled d, a later transfer cut 30 bytes

@@ -9,13 +9,13 @@ package main
 //
 // The trace store retains finished span trees per node (sampled, always
 // keeping slow and error traces); a trace that crossed the ring is
-// reassembled on demand by fanning the ID out to every peer over the
-// cluster-key-guarded /v1/ring machinery and grafting each node's tree
-// under the forward span that produced it. Cluster metrics are scraped
-// from every peer concurrently with a per-peer timeout; a dead peer
-// degrades the response to a partial aggregate annotated with
-// scrape_errors rather than an error. All four routes expose aggregate
-// operational metadata only — span names, routes, durations, counters —
+// reassembled on demand by asking every peer for its record over the
+// cluster-key-guarded GET /v1/ring/trace and grafting each node's tree
+// under the forward span that produced it. Cluster metrics read every
+// peer's public /v1/metrics. Both ask through fanOutJSON, whose
+// per-peer timeout keeps a dead peer from failing the view: it degrades
+// to a partial answer naming the peer (peer_errors, scrape_errors).
+// All four routes expose aggregate operational metadata only — span names, routes, durations, counters —
 // never dataset rows or key material, so like /v1/metrics they are
 // unauthenticated and exempt from ring forwarding (each node answers
 // for the cluster from wherever the request lands).
@@ -23,6 +23,7 @@ package main
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"time"
@@ -103,15 +104,6 @@ func (s *server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"traces": recs})
 }
 
-// traceView is the GET /v1/traces/{id} body: the per-node records
-// (spans stripped) plus the single stitched cross-node span tree.
-type traceView struct {
-	ID         string            `json:"id"`
-	Nodes      []obs.TraceRecord `json:"nodes"`
-	PeerErrors map[string]string `json:"peer_errors,omitempty"`
-	Spans      *obs.SpanNode     `json:"spans"`
-}
-
 // handleTraceGet serves GET /v1/traces/{id}: the local record plus a
 // fan-out to every ring peer, stitched into one span tree. Peers that
 // fail to answer degrade the view (peer_errors) instead of failing it,
@@ -126,30 +118,21 @@ func (s *server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	if rec, ok := s.traces.Get(id); ok {
 		recs = append(recs, rec)
 	}
-	var peerErrs map[string]string
-	if s.ring != nil {
-		more, errs := s.ring.collectTraces(r.Context(), id)
-		recs = append(recs, more...)
-		peerErrs = errs
+	peers, peerErrs := fanOutJSON[obs.TraceRecord](r.Context(), s.ring, "/v1/ring/trace?id="+url.QueryEscape(id))
+	for _, rec := range peers {
+		recs = append(recs, rec)
 	}
 	if len(recs) == 0 {
 		writeErr(w, service.NotFoundErr(fmt.Errorf("trace %q is not retained on any reachable node", id)))
 		return
 	}
-	view := traceView{ID: id, PeerErrors: peerErrs, Spans: obs.Stitch(recs)}
+	view := obs.TraceView{ID: id, PeerErrors: peerErrs, Spans: obs.Stitch(recs)}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Start.Before(recs[j].Start) })
 	for _, rec := range recs {
 		rec.Spans = nil
 		view.Nodes = append(view.Nodes, rec)
 	}
 	writeJSON(w, http.StatusOK, view)
-}
-
-// clusterMetricsView is the GET /v1/cluster/metrics JSON body.
-type clusterMetricsView struct {
-	Nodes        []string          `json:"nodes"`
-	ScrapeErrors map[string]string `json:"scrape_errors,omitempty"`
-	Metrics      map[string]int64  `json:"metrics"`
 }
 
 // localSnapshot is this node's full flat snapshot (service counters,
@@ -163,31 +146,20 @@ func (s *server) localSnapshot() map[string]int64 {
 }
 
 // handleClusterMetrics serves the all-node aggregate: this node's
-// snapshot in-process plus every peer's /v1/metrics scraped
-// concurrently, merged by metrics.MergeSnapshots (counters and
-// histograms summed, gauges node-labelled). Unreachable peers appear
-// under scrape_errors; the aggregate over the reachable nodes is still
-// served.
+// snapshot in-process plus every peer's /v1/metrics, merged by
+// metrics.MergeSnapshots (counters and histograms summed, gauges
+// node-labelled). Unreachable peers appear under scrape_errors; the
+// aggregate over the reachable nodes is still served.
 func (s *server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
-	perNode := map[string]map[string]int64{s.nodeName(): s.localSnapshot()}
-	var scrapeErrs map[string]string
-	if s.ring != nil {
-		peers, errs := s.ring.scrapePeers(r.Context())
-		for node, snap := range peers {
-			perNode[node] = snap
-		}
-		scrapeErrs = errs
-	}
+	local := s.localSnapshot()
+	perNode, scrapeErrs := fanOutJSON[map[string]int64](r.Context(), s.ring, "/v1/metrics")
+	nodes := clusterNodes(s.nodeName(), perNode)
+	perNode[s.nodeName()] = local
 	merged := metrics.MergeSnapshots(perNode)
-	nodes := make([]string, 0, len(perNode))
-	for node := range perNode {
-		nodes = append(nodes, node)
-	}
-	sort.Strings(nodes)
 
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
-		writeJSON(w, http.StatusOK, clusterMetricsView{
+		writeJSON(w, http.StatusOK, obs.ClusterMetrics{
 			Nodes:        nodes,
 			ScrapeErrors: scrapeErrs,
 			Metrics:      merged,
@@ -208,20 +180,12 @@ func (s *server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sloReport is the GET /v1/slo body.
-type sloReport struct {
-	Enabled    bool            `json:"enabled"`
-	WindowS    float64         `json:"window_s,omitempty"`
-	Status     string          `json:"status"`
-	Objectives []obs.SLOStatus `json:"objectives,omitempty"`
-}
-
 // handleSLO serves the per-objective evaluation, worst objectives
 // first; Status is the worst state across all of them. With no -slo
 // configured the report is {"enabled": false, "status": "ok"}.
 func (s *server) handleSLO(w http.ResponseWriter, _ *http.Request) {
 	if s.slo == nil {
-		writeJSON(w, http.StatusOK, sloReport{Enabled: false, Status: obs.SLOStateOK})
+		writeJSON(w, http.StatusOK, obs.SLOReport{Enabled: false, Status: obs.SLOStateOK})
 		return
 	}
 	sts := s.slo.Statuses()
@@ -230,7 +194,7 @@ func (s *server) handleSLO(w http.ResponseWriter, _ *http.Request) {
 	for _, st := range sts {
 		status = obs.WorseSLOState(status, st.State)
 	}
-	writeJSON(w, http.StatusOK, sloReport{
+	writeJSON(w, http.StatusOK, obs.SLOReport{
 		Enabled:    true,
 		WindowS:    s.slo.Window().Seconds(),
 		Status:     status,

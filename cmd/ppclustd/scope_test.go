@@ -66,7 +66,7 @@ func TestTraceQueryAPI(t *testing.T) {
 	}
 
 	// The record lands in a deferred wrapper after the response; poll.
-	var view traceView
+	var view obs.TraceView
 	waitUntil(t, 3*time.Second, "trace retained", func() bool {
 		return scopeGet(t, ts.URL+"/v1/traces/"+trace, &view) == http.StatusOK
 	})
@@ -161,7 +161,7 @@ func TestRingTraceStitchedQuery(t *testing.T) {
 	// that neither received nor served the request. Records land in
 	// deferred wrappers on two different nodes; poll until both appear.
 	for _, nd := range nodes {
-		var view traceView
+		var view obs.TraceView
 		waitUntil(t, 5*time.Second, "stitched trace on "+nd.id, func() bool {
 			return scopeGet(t, nd.addr+"/v1/traces/"+trace, &view) == http.StatusOK && len(view.Nodes) == 2
 		})
@@ -230,7 +230,7 @@ func TestClusterMetricsAggregation(t *testing.T) {
 		t.Fatal("no rows ingested anywhere")
 	}
 
-	var view clusterMetricsView
+	var view obs.ClusterMetrics
 	if got := scopeGet(t, nodes[1].addr+"/v1/cluster/metrics", &view); got != http.StatusOK {
 		t.Fatalf("cluster metrics: status %d", got)
 	}
@@ -271,7 +271,7 @@ func TestClusterMetricsAggregation(t *testing.T) {
 	// Kill n3: the aggregate over the survivors is still served, with the
 	// dead peer named in scrape_errors.
 	stopRingNode(nodes[2])
-	var partial clusterMetricsView
+	var partial obs.ClusterMetrics
 	if got := scopeGet(t, nodes[0].addr+"/v1/cluster/metrics", &partial); got != http.StatusOK {
 		t.Fatalf("partial cluster metrics: status %d", got)
 	}
@@ -283,6 +283,61 @@ func TestClusterMetricsAggregation(t *testing.T) {
 	}
 	if partial.Metrics["rows_ingested_total"] >= wantRows && wantRows > nodes[0].s.localSnapshot()["rows_ingested_total"]+nodes[1].s.localSnapshot()["rows_ingested_total"] {
 		t.Error("partial aggregate still counts the dead node")
+	}
+}
+
+// TestClusterViewsDegradeWithDeadPeer: with one node of a 3-node ring
+// stopped, the trace view and the cluster-scope history and alerts
+// still answer 200 from either survivor, naming the dead node in
+// peer_errors. A live peer without a record of the trace (404) is
+// neither a record nor an error.
+func TestClusterViewsDegradeWithDeadPeer(t *testing.T) {
+	nodes := startRing(t, 3, 0, "")
+	owner := ownerHomedOn(t, nodes, "n1", 0)
+	const trace = "degraded-view-0001"
+	csv, _ := testCSV(t, 40, 7)
+	if resp := pinnedRequest(t, nodes[0].addr+"/v1/datasets?owner="+owner+"&name=d1", trace, csv); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload: %d", resp.StatusCode)
+	}
+	waitUntil(t, 5*time.Second, "trace retained on n1", func() bool {
+		_, ok := nodes[0].s.traces.Get(trace)
+		return ok
+	})
+	stopRingNode(nodes[2])
+
+	onlyDead := func(via string, errs map[string]string) {
+		t.Helper()
+		if _, ok := errs["n3"]; !ok || len(errs) != 1 {
+			t.Fatalf("%s: peer_errors = %v, want only n3", via, errs)
+		}
+	}
+	for _, nd := range nodes[:2] {
+		var view obs.TraceView
+		if got := scopeGet(t, nd.addr+"/v1/traces/"+trace, &view); got != http.StatusOK {
+			t.Fatalf("trace via %s: status %d", nd.id, got)
+		}
+		onlyDead("trace via "+nd.id, view.PeerErrors)
+		if len(view.Nodes) != 1 || view.Nodes[0].Node != "n1" {
+			t.Fatalf("trace via %s: records = %+v, want n1's alone", nd.id, view.Nodes)
+		}
+
+		var hist obs.HistoryView
+		if got := scopeGet(t, nd.addr+"/v1/metrics/history?scope=cluster", &hist); got != http.StatusOK {
+			t.Fatalf("cluster history via %s: status %d", nd.id, got)
+		}
+		onlyDead("cluster history via "+nd.id, hist.PeerErrors)
+		if strings.Join(hist.Nodes, ",") != "n1,n2" {
+			t.Fatalf("cluster history via %s: nodes = %v", nd.id, hist.Nodes)
+		}
+
+		var alerts obs.AlertList
+		if got := scopeGet(t, nd.addr+"/v1/alerts?scope=cluster", &alerts); got != http.StatusOK {
+			t.Fatalf("cluster alerts via %s: status %d", nd.id, got)
+		}
+		onlyDead("cluster alerts via "+nd.id, alerts.PeerErrors)
+		if strings.Join(alerts.Nodes, ",") != "n1,n2" {
+			t.Fatalf("cluster alerts via %s: nodes = %v", nd.id, alerts.Nodes)
+		}
 	}
 }
 
@@ -307,7 +362,7 @@ func TestSLOEndpoint(t *testing.T) {
 		}
 	}
 
-	var report sloReport
+	var report obs.SLOReport
 	waitUntil(t, 3*time.Second, "slo observations", func() bool {
 		return scopeGet(t, ts.URL+"/v1/slo", &report) == http.StatusOK &&
 			len(report.Objectives) == 2 && report.Objectives[0].Requests >= 3
@@ -345,7 +400,7 @@ func TestSLOEndpointOverflowQuantile(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.slo.Observe("POST /v1/protect", 20000, false)
-	var report sloReport
+	var report obs.SLOReport
 	if code := scopeGet(t, ts.URL+"/v1/slo", &report); code != http.StatusOK {
 		t.Fatalf("slo endpoint answered %d", code)
 	}
@@ -358,7 +413,7 @@ func TestSLOEndpointOverflowQuantile(t *testing.T) {
 // enabled:false, not an error.
 func TestSLOEndpointDisabled(t *testing.T) {
 	ts, _ := newTestServer(t)
-	var report sloReport
+	var report obs.SLOReport
 	if scopeGet(t, ts.URL+"/v1/slo", &report) != http.StatusOK {
 		t.Fatal("slo endpoint failed")
 	}

@@ -185,11 +185,6 @@ func (s *server) handler() http.Handler {
 	if s.ring != nil {
 		s.ring.traces = s.traces
 		s.ring.registerRoutes(mux)
-		// The pulse peer routes live here rather than in registerRoutes:
-		// their handlers read server state (pulse store, alert engine).
-		guard := s.ring.requireClusterKey
-		mux.HandleFunc("GET /v1/ring/history", guard(s.handleRingHistory))
-		mux.HandleFunc("GET /v1/ring/alerts", guard(s.handleRingAlerts))
 		h = s.ring.middleware(h)
 	}
 	return s.instrument(h)

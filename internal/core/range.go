@@ -110,7 +110,9 @@ func (iv Interval) String() string { return fmt.Sprintf("[%.2f°, %.2f°]", iv.L
 // The at most eight boundaries cut [0°, 360°] into pieces on which the
 // margin keeps its sign; a piece is feasible when the margin at its
 // midpoint is nonnegative, and feasible neighbours merge. The only
-// allocation is the returned slice.
+// allocation is the returned slice. A curve whose variances or
+// covariance are NaN or ±Inf (moments that overflowed float64) has no
+// margin to compare and is ErrBadInput.
 //
 // The second argument is unused. It was the resolution of the grid scan
 // this solver replaced and stays only so existing callers still compile.
@@ -119,6 +121,11 @@ func (c *VarianceCurve) SecurityRange(t PST, _ float64) ([]Interval, error) {
 		return nil, err
 	}
 	a, b, cov := c.VarX, c.VarY, c.Cov
+	for _, v := range [...]float64{a, b, cov} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("%w: variance curve (%g, %g, %g) is not finite", ErrBadInput, a, b, cov)
+		}
+	}
 	// Coefficients in ascending powers of t.
 	quartics := [2][5]float64{
 		{-t.Rho1, 0, 4*b - 2*t.Rho1, -8 * cov, 4*a - t.Rho1},

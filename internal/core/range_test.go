@@ -349,6 +349,23 @@ func TestSecurityRangeEmpty(t *testing.T) {
 	}
 }
 
+// A curve whose moments overflowed float64 has no margin to compare:
+// every non-finite variance or covariance is refused as bad input, never
+// answered with the whole circle.
+func TestSecurityRangeRefusesNonFiniteCurve(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []VarianceCurve{
+		{VarX: inf, VarY: inf, Cov: 0},
+		{VarX: inf, VarY: 1, Cov: nan},
+		{VarX: 1, VarY: nan, Cov: 0},
+		{VarX: 1, VarY: 1, Cov: -inf},
+	} {
+		if ivs, err := c.SecurityRange(PST{Rho1: 0.3, Rho2: 0.3}, 0); !errors.Is(err, ErrBadInput) {
+			t.Errorf("curve %+v: got %v, %v; want ErrBadInput", c, ivs, err)
+		}
+	}
+}
+
 // The solver allocates nothing but the returned intervals.
 func TestSecurityRangeAllocs(t *testing.T) {
 	curve := &VarianceCurve{VarX: 1, VarY: 0.05, Cov: 0}

@@ -417,6 +417,30 @@ func TestFitRefusesOverflow(t *testing.T) {
 	}
 }
 
+// TestFitRefusesNonFiniteMoments: a NormNone fit whose pair moments
+// overflow float64 while its release stays finite is refused as bad
+// input, instead of reporting the whole circle as the security range
+// with infinite or NaN variances.
+func TestFitRefusesNonFiniteMoments(t *testing.T) {
+	pst := []core.PST{{Rho1: 0.3, Rho2: 0.3}}
+	cases := []struct {
+		rows [][]float64
+		seed int64
+	}{
+		{[][]float64{{1e200, 3}, {-1e200, 1}, {5e199, 2}, {-5e199, 7}}, 1},
+		// At seed 4 the angle keeps this release finite; its moments are NaN.
+		{[][]float64{{1.7e308, 1.7e308}, {-1.7e308, -1.7e308}, {1e308, -1e308}, {-1e308, 1e308}}, 4},
+	}
+	for i, tc := range cases {
+		for _, blockRows := range []int{0, 2} {
+			res, err := New(2, blockRows).Protect(matrix.FromRows(tc.rows), ProtectOptions{Normalization: NormNone, Thresholds: pst, Seed: tc.seed})
+			if !errors.Is(err, core.ErrBadInput) || res != nil {
+				t.Fatalf("case %d, block rows %d: err = %v (result returned: %v), want ErrBadInput and no result", i, blockRows, err, res != nil)
+			}
+		}
+	}
+}
+
 // TestFitInPlaceAllocations: a 2 000×32 fit released into its own input
 // through ReleaseInto, as the daemon serves one, allocates nothing the
 // size of its 500 KiB of data: at most 64 KiB per call.

@@ -1,126 +1,47 @@
 package metrics
 
-import "strings"
-
 // Cluster-wide snapshot merging. Each node's /v1/metrics body is a flat
 // name → int64 map in the registry's Prometheus-convention naming;
 // MergeSnapshots folds N of them into one cluster view:
 //
-//   - counters (`*_total`) and histogram series (`*_bucket{...,le=...}`
-//     plus their `_count`/`_sum`) are summed — same-boundary histograms
+//   - counters and histograms are summed — same-boundary histograms
 //     merge bucket-by-bucket because every node uses the same fixed
 //     bounds for a given metric;
-//   - everything else is a gauge, where summing would be a lie (a queue
-//     depth of 3 on one node and 5 on another is not "8 somewhere"), so
-//     each series is relabelled with a `node` label instead.
+//   - gauges, where summing would be a lie (a queue depth of 3 on one
+//     node and 5 on another is not "8 somewhere"), are relabelled with
+//     a `node` label instead.
 
 // MergeSnapshots merges per-node flat snapshots into one cluster-wide
-// map, keyed by the rules above. Input maps are not modified.
+// map, each read by ReadSnapshot. Input maps are not modified.
 func MergeSnapshots(perNode map[string]map[string]int64) map[string]int64 {
-	fams := histogramFamilies(perNode)
 	out := make(map[string]int64)
 	for node, snap := range perNode {
-		for name, v := range snap {
-			if summable(name, fams) {
-				out[name] += v
-			} else {
-				out[WithNodeLabel(name, node)] = v
+		for _, f := range ReadSnapshot(snap) {
+			for _, s := range f.Series {
+				switch f.Kind {
+				case KindCounter:
+					out[s.Name] += s.Value
+				case KindGauge:
+					out[WithNodeLabel(s.Name, node)] = s.Value
+				case KindHistogram:
+					for _, b := range s.Buckets {
+						out[BucketName(f.Name, s.Labels, b.UpperBound)] += b.Count
+					}
+					out[JoinName(f.Name+"_count", s.Labels)] += s.Count
+					out[JoinName(f.Name+"_sum", s.Labels)] += s.Sum
+				}
 			}
 		}
 	}
 	return out
 }
 
-// histogramFamilies collects the base names (without the _bucket
-// suffix) of every histogram present in the snapshots, so bare _count
-// and _sum series can be attributed to their family.
-func histogramFamilies(perNode map[string]map[string]int64) map[string]bool {
-	fams := map[string]bool{}
-	for _, snap := range perNode {
-		for name := range snap {
-			base, labels := splitLabels(name)
-			if strings.HasSuffix(base, "_bucket") && hasLabel(labels, "le") {
-				fams[strings.TrimSuffix(base, "_bucket")] = true
-			}
-		}
-	}
-	return fams
-}
-
-// summable reports whether the series accumulates monotonically across
-// nodes (counter or histogram component) rather than being point-in-time.
-func summable(name string, fams map[string]bool) bool {
-	base, _ := splitLabels(name)
-	switch {
-	case strings.HasSuffix(base, "_total"):
-		return true
-	case strings.HasSuffix(base, "_bucket") && fams[strings.TrimSuffix(base, "_bucket")]:
-		return true
-	case strings.HasSuffix(base, "_count") && fams[strings.TrimSuffix(base, "_count")]:
-		return true
-	case strings.HasSuffix(base, "_sum") && fams[strings.TrimSuffix(base, "_sum")]:
-		return true
-	}
-	return false
-}
-
 // WithNodeLabel splices `node="id"` into a series name, after any
 // existing labels.
 func WithNodeLabel(name, node string) string {
 	base, labels := splitLabels(name)
-	if labels == "" {
-		return base + `{node="` + node + `"}`
+	if labels != "" {
+		labels += ","
 	}
-	return base + "{" + labels + `,node="` + node + `"}`
+	return JoinName(base, labels+`node="`+node+`"`)
 }
-
-// SplitLabelBody splits a label body ("a=\"x\",b=\"y,z\"") into its
-// key="value" pairs, respecting commas inside quoted values.
-func SplitLabelBody(labels string) []string {
-	if labels == "" {
-		return nil
-	}
-	var out []string
-	start, inQuote := 0, false
-	for i := 0; i < len(labels); i++ {
-		switch labels[i] {
-		case '"':
-			// Registry names never escape quotes inside values (%q would,
-			// but label values here are routes/owners/node IDs), so a bare
-			// toggle is faithful.
-			inQuote = !inQuote
-		case ',':
-			if !inQuote {
-				out = append(out, labels[start:i])
-				start = i + 1
-			}
-		}
-	}
-	return append(out, labels[start:])
-}
-
-// LabelValue extracts the value of key from a label body, and the body
-// with that pair removed.
-func LabelValue(labels, key string) (value, rest string, ok bool) {
-	parts := SplitLabelBody(labels)
-	kept := make([]string, 0, len(parts))
-	for _, p := range parts {
-		k, v, found := strings.Cut(p, "=")
-		if found && !ok && strings.TrimSpace(k) == key {
-			ok = true
-			value = strings.Trim(strings.TrimSpace(v), `"`)
-			continue
-		}
-		kept = append(kept, p)
-	}
-	return value, strings.Join(kept, ","), ok
-}
-
-func hasLabel(labels, key string) bool {
-	_, _, ok := LabelValue(labels, key)
-	return ok
-}
-
-// SplitName separates `base{labels}` into base and label body — the
-// exported form of splitLabels for cross-package consumers.
-func SplitName(name string) (base, labels string) { return splitLabels(name) }

@@ -55,7 +55,7 @@ func TestMergeSnapshotsSumsAndLabels(t *testing.T) {
 
 func TestMergeSnapshotsBareCountIsGauge(t *testing.T) {
 	// A *_count with no histogram family in sight is a gauge, not a
-	// summable series.
+	// summed series.
 	got := MergeSnapshots(map[string]map[string]int64{
 		"n1": {"goroutine_count": 10},
 		"n2": {"goroutine_count": 20},

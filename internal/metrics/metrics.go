@@ -9,10 +9,8 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -149,14 +147,14 @@ func (r *Registry) Snapshot() map[string]int64 {
 		var cum int64
 		for i := range h.counts {
 			cum += h.counts[i].Load()
-			le := "+Inf"
+			bound := math.Inf(1)
 			if i < len(h.bounds) {
-				le = fmt.Sprintf("%g", h.bounds[i])
+				bound = h.bounds[i]
 			}
-			out[histKey(base, "_bucket", labels, le)] = cum
+			out[BucketName(base, labels, bound)] = cum
 		}
-		out[histKey(base, "_count", labels, "")] = h.Count()
-		out[histKey(base, "_sum", labels, "")] = int64(h.Sum())
+		out[JoinName(base+"_count", labels)] = h.Count()
+		out[JoinName(base+"_sum", labels)] = int64(h.Sum())
 	}
 	return out
 }
@@ -166,31 +164,6 @@ func (r *Registry) Snapshot() map[string]int64 {
 type BucketCount struct {
 	UpperBound float64
 	Count      int64
-}
-
-// splitLabels separates `base{labels}` into its parts; labels is empty
-// for a bare name.
-func splitLabels(name string) (base, labels string) {
-	i := strings.IndexByte(name, '{')
-	if i < 0 || !strings.HasSuffix(name, "}") {
-		return name, ""
-	}
-	return name[:i], name[i+1 : len(name)-1]
-}
-
-// histKey renders one histogram series name, splicing the le label after
-// any existing labels.
-func histKey(base, suffix, labels, le string) string {
-	switch {
-	case le == "" && labels == "":
-		return base + suffix
-	case le == "":
-		return fmt.Sprintf("%s%s{%s}", base, suffix, labels)
-	case labels == "":
-		return fmt.Sprintf("%s%s{le=%q}", base, suffix, le)
-	default:
-		return fmt.Sprintf("%s%s{%s,le=%q}", base, suffix, labels, le)
-	}
 }
 
 // Names returns the registered counter and histogram names in sorted

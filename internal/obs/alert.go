@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -102,7 +103,7 @@ func ParseAlertRule(expr string) (AlertRule, error) {
 		return fail("missing threshold after %q", r.Op)
 	}
 	v, err := strconv.ParseFloat(rest[0], 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return fail("bad threshold %q", rest[0])
 	}
 	r.Threshold = v

@@ -54,6 +54,37 @@ func TestParseAlertRuleErrorsNameOffendingToken(t *testing.T) {
 	}
 }
 
+// TestParseAlertRuleRefusesNonFinite: a NaN threshold never compares
+// true and an infinite one never compares false; both are refused,
+// naming the token.
+func TestParseAlertRuleRefusesNonFinite(t *testing.T) {
+	for expr, tok := range map[string]string{
+		"x>NaN": "NaN", "x<NaN for 1s": "NaN", "x>Inf": "Inf", "x<-Inf": "-Inf", "x>+Inf": "+Inf",
+	} {
+		if r, err := ParseAlertRules(expr); err == nil || !strings.Contains(err.Error(), `bad threshold "`+tok+`"`) {
+			t.Errorf("ParseAlertRules(%q) = %+v, %v; want bad threshold %q", expr, r, err, tok)
+		}
+	}
+}
+
+// FuzzParseAlertRules: no spec panics the parser, and every accepted
+// spec parses back from each rule's Expr to that same rule. Seeds under
+// testdata/fuzz are the rules README and the tests use.
+func FuzzParseAlertRules(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		rules, err := ParseAlertRules(spec)
+		if err != nil {
+			return
+		}
+		for _, r := range rules {
+			again, err := ParseAlertRules(r.Expr)
+			if err != nil || len(again) != 1 || again[0] != r {
+				t.Fatalf("rule %+v: ParseAlertRules(%q) = %+v, %v", r, r.Expr, again, err)
+			}
+		}
+	})
+}
+
 type alertHarness struct {
 	clk    *pulseClock
 	eng    *AlertEngine

@@ -35,6 +35,13 @@ import (
 // counted) and debounced per rule; retention deletes the oldest bundles
 // past MaxIncidents.
 
+// A bundle quotes the incidentTraces worst retained traces and the
+// metrics history of the last incidentHistory.
+const (
+	incidentTraces  = 10
+	incidentHistory = 10 * time.Minute
+)
+
 // RecorderConfig bounds the flight recorder.
 type RecorderConfig struct {
 	// Dir is the incident directory, created if missing.
@@ -46,11 +53,6 @@ type RecorderConfig struct {
 	// CPUProfile is the CPU capture duration (0: 1s; negative: no CPU
 	// profile).
 	CPUProfile time.Duration
-	// HistoryWindow is how far back the metrics-history excerpt reaches
-	// (0: 10m).
-	HistoryWindow time.Duration
-	// TraceCount caps the trace records quoted in the bundle (0: 10).
-	TraceCount int
 	// Now overrides the clock (tests).
 	Now func() time.Time
 }
@@ -97,12 +99,6 @@ func NewRecorder(cfg RecorderConfig, traces *TraceStore, pulse *Pulse, reg *metr
 	}
 	if cfg.CPUProfile == 0 {
 		cfg.CPUProfile = time.Second
-	}
-	if cfg.HistoryWindow <= 0 {
-		cfg.HistoryWindow = 10 * time.Minute
-	}
-	if cfg.TraceCount <= 0 {
-		cfg.TraceCount = 10
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -213,7 +209,7 @@ func (r *Recorder) Capture(ev AlertEvent) IncidentMeta {
 		})
 	}
 	if r.traces != nil {
-		recs := worstTraces(r.traces, r.cfg.TraceCount)
+		recs := worstTraces(r.traces, incidentTraces)
 		if len(recs) > 0 {
 			for _, rec := range recs {
 				meta.TraceIDs = append(meta.TraceIDs, rec.ID)
@@ -232,7 +228,7 @@ func (r *Recorder) Capture(ev AlertEvent) IncidentMeta {
 		}
 		series, _ := r.pulse.Query(HistoryQuery{
 			Series: filters,
-			Since:  now.Add(-r.cfg.HistoryWindow),
+			Since:  now.Add(-incidentHistory),
 		})
 		if len(series) > 0 {
 			writeFile("history.json", func(f *os.File) error {

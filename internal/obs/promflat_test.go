@@ -73,3 +73,22 @@ func TestWritePromFlatBucketWithoutLeIsGauge(t *testing.T) {
 		t.Errorf("le-less bucket handling:\n%s", sb.String())
 	}
 }
+
+// TestWritePromFlatNameClash: a gauge that shares its name with a
+// histogram family renders as a family of its own, whichever of the
+// two the snapshot map yields first, instead of panicking or being
+// dropped. The cluster aggregate renders names that peers send.
+func TestWritePromFlatNameClash(t *testing.T) {
+	flat := map[string]int64{"x": 7, `x_bucket{le="1"}`: 1, `x_bucket{le="+Inf"}`: 2, "x_count": 2, "x_sum": 3}
+	for range 20 {
+		var sb strings.Builder
+		if err := WritePromFlat(&sb, flat); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"# TYPE x gauge\nx 7\n", "# TYPE x histogram\n", `x_bucket{le="+Inf"} 2`, "x_count 2"} {
+			if !strings.Contains(sb.String(), want) {
+				t.Fatalf("output missing %q:\n%s", want, sb.String())
+			}
+		}
+	}
+}

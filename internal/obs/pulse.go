@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -80,6 +79,7 @@ type Pulse struct {
 	epochs    []int64 // epoch held by each slot; -1 when never written
 	series    map[string]*pulseSeries
 	lastSnap  map[string]int64
+	lastHists map[string][]metrics.BucketCount // histogram name{labels} → buckets
 	lastTime  time.Time
 	lastEpoch int64
 	bytes     int64
@@ -185,131 +185,66 @@ func (p *Pulse) SampleNow() {
 	}
 }
 
-// histFamily is one histogram (base + non-le labels) reassembled from a
-// flat snapshot.
-type histFamily struct {
-	base    string // name without the _bucket suffix
-	labels  string // label body without the le pair
-	buckets []metrics.BucketCount
-}
-
 // derive computes this sample's series values from the raw snapshot,
-// using the previous snapshot for counter and bucket deltas. Reads
-// p.lastSnap/p.lastTime and replaces them; callers must not hold p.mu
-// (derive runs before the store lock so the source and the alert hook
-// never nest inside it).
+// using the previous sample for counter and bucket deltas. Reads
+// p.lastSnap/p.lastHists/p.lastTime and replaces them; callers must not
+// hold p.mu (derive runs before the store lock so the source and the
+// alert hook never nest inside it).
 func (p *Pulse) derive(now time.Time, snap map[string]int64) map[string]float64 {
-	prev := p.lastSnap
+	prev, prevHists := p.lastSnap, p.lastHists
 	dt := 0.0
 	if prev != nil {
 		dt = now.Sub(p.lastTime).Seconds()
 	}
-	p.lastSnap = snap
-	p.lastTime = now
-
-	fams, skip := histFamilies(snap)
+	deltas := prev != nil && dt > 0
+	hists := map[string][]metrics.BucketCount{}
 	values := make(map[string]float64, len(snap))
-	for name, v := range snap {
-		if skip[name] {
-			continue
-		}
-		base, labels := metrics.SplitName(name)
-		if strings.HasSuffix(base, "_total") {
-			if prev == nil || dt <= 0 {
-				continue
-			}
-			pv, ok := prev[name]
-			if !ok || v < pv {
-				pv = 0 // new counter or reset: rate from zero
-			}
-			values[spliceName(strings.TrimSuffix(base, "_total")+":rate", labels)] = float64(v-pv) / dt
-			continue
-		}
-		values[name] = float64(v)
-	}
-	if prev != nil && dt > 0 {
-		prevFams, _ := histFamilies(prev)
-		for key, fam := range fams {
-			pf, ok := prevFams[key]
-			delta, total := bucketDelta(fam.buckets, pf.buckets, ok)
-			values[spliceName(fam.base+":rate", fam.labels)] = float64(total) / dt
-			if total <= 0 {
-				continue
-			}
-			for _, pq := range pulseQuantiles {
-				if q := metrics.QuantileFromBuckets(delta, pq.Q); !math.IsNaN(q) {
-					values[spliceName(fam.base+pq.Suffix, fam.labels)] = q
-				}
-			}
-		}
-	}
-	return values
-}
-
-// histFamilies reassembles the histograms present in a flat snapshot
-// and the full set of raw component keys (bucket/count/sum) to exclude
-// from gauge treatment.
-func histFamilies(snap map[string]int64) (map[string]histFamily, map[string]bool) {
-	fams := map[string]histFamily{}
-	skip := map[string]bool{}
-	roots := map[string]bool{}
-	for name := range snap {
-		base, labels := metrics.SplitName(name)
-		if !strings.HasSuffix(base, "_bucket") {
-			continue
-		}
-		if _, _, ok := metrics.LabelValue(labels, "le"); !ok {
-			continue
-		}
-		roots[strings.TrimSuffix(base, "_bucket")] = true
-	}
-	for name, v := range snap {
-		base, labels := metrics.SplitName(name)
-		switch {
-		case strings.HasSuffix(base, "_bucket"):
-			root := strings.TrimSuffix(base, "_bucket")
-			le, rest, ok := metrics.LabelValue(labels, "le")
-			if !ok || !roots[root] {
-				continue
-			}
-			bound := math.Inf(1)
-			if le != "+Inf" {
-				var err error
-				if bound, err = strconv.ParseFloat(le, 64); err != nil {
+	for _, f := range metrics.ReadSnapshot(snap) {
+		for _, s := range f.Series {
+			switch f.Kind {
+			case metrics.KindGauge:
+				values[s.Name] = float64(s.Value)
+			case metrics.KindCounter:
+				if !deltas {
 					continue
 				}
+				pv, ok := prev[s.Name]
+				if !ok || s.Value < pv {
+					pv = 0 // new counter or reset: rate from zero
+				}
+				values[metrics.JoinName(strings.TrimSuffix(f.Name, "_total")+":rate", s.Labels)] = float64(s.Value-pv) / dt
+			case metrics.KindHistogram:
+				key := metrics.JoinName(f.Name, s.Labels)
+				hists[key] = s.Buckets
+				if !deltas {
+					continue
+				}
+				delta, total := bucketDelta(s.Buckets, prevHists[key])
+				values[metrics.JoinName(f.Name+":rate", s.Labels)] = float64(total) / dt
+				if total <= 0 {
+					continue
+				}
+				for _, pq := range pulseQuantiles {
+					if q := metrics.QuantileFromBuckets(delta, pq.Q); !math.IsNaN(q) {
+						values[metrics.JoinName(f.Name+pq.Suffix, s.Labels)] = q
+					}
+				}
 			}
-			skip[name] = true
-			key := spliceName(root, rest)
-			fam := fams[key]
-			fam.base, fam.labels = root, rest
-			fam.buckets = append(fam.buckets, metrics.BucketCount{UpperBound: bound, Count: v})
-			fams[key] = fam
-		case strings.HasSuffix(base, "_count") && roots[strings.TrimSuffix(base, "_count")],
-			strings.HasSuffix(base, "_sum") && roots[strings.TrimSuffix(base, "_sum")]:
-			skip[name] = true
 		}
 	}
-	for key, fam := range fams {
-		sort.Slice(fam.buckets, func(i, j int) bool {
-			return fam.buckets[i].UpperBound < fam.buckets[j].UpperBound
-		})
-		fams[key] = fam
-	}
-	return fams, skip
+	p.lastSnap, p.lastHists, p.lastTime = snap, hists, now
+	return values
 }
 
 // bucketDelta subtracts the previous sample's cumulative buckets from
 // the current ones, returning the step's own cumulative buckets and its
 // observation count. A missing or shrunken previous bucket (restart,
 // new route) falls back to the current cumulative value.
-func bucketDelta(cur, prev []metrics.BucketCount, havePrev bool) ([]metrics.BucketCount, int64) {
+func bucketDelta(cur, prev []metrics.BucketCount) ([]metrics.BucketCount, int64) {
 	out := make([]metrics.BucketCount, len(cur))
 	prevAt := map[float64]int64{}
-	if havePrev {
-		for _, b := range prev {
-			prevAt[b.UpperBound] = b.Count
-		}
+	for _, b := range prev {
+		prevAt[b.UpperBound] = b.Count
 	}
 	for i, b := range cur {
 		d := b.Count - prevAt[b.UpperBound]
@@ -323,14 +258,6 @@ func bucketDelta(cur, prev []metrics.BucketCount, havePrev bool) ([]metrics.Buck
 		total = out[len(out)-1].Count
 	}
 	return out, total
-}
-
-// spliceName re-attaches a label body to a derived base name.
-func spliceName(base, labels string) string {
-	if labels == "" {
-		return base
-	}
-	return base + "{" + labels + "}"
 }
 
 // store writes one sample's values into the slot rings.

@@ -199,7 +199,7 @@ func parseCondition(cond string) (Objective, error) {
 		o.ErrBudget = rate
 	case strings.HasPrefix(lhs, "p"):
 		q, err := strconv.ParseFloat(lhs[1:], 64)
-		if err != nil || q <= 0 || q >= 100 {
+		if err != nil || !(q > 0 && q < 100) {
 			return Objective{}, fmt.Errorf("condition %q: quantile must be in (0,100)", cond)
 		}
 		ms, err := parseLatency(rhs)
@@ -218,7 +218,7 @@ func parseCondition(cond string) (Objective, error) {
 func parseRate(s string) (float64, error) {
 	pct := strings.HasSuffix(s, "%")
 	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-	if err != nil || v < 0 {
+	if err != nil || !(v >= 0) {
 		return 0, fmt.Errorf("bad rate %q", s)
 	}
 	if pct {
@@ -230,7 +230,7 @@ func parseRate(s string) (float64, error) {
 	return v, nil
 }
 
-// parseLatency accepts a Go duration ("250ms", "1.5s") or bare
+// parseLatency accepts a Go duration ("250ms", "1.5s") or bare finite
 // milliseconds ("250").
 func parseLatency(s string) (float64, error) {
 	if d, err := time.ParseDuration(s); err == nil {
@@ -240,7 +240,7 @@ func parseLatency(s string) (float64, error) {
 		return float64(d) / float64(time.Millisecond), nil
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v < 0 {
+	if err != nil || !(v >= 0) || math.IsInf(v, 1) {
 		return 0, fmt.Errorf("bad latency %q", s)
 	}
 	return v, nil

@@ -55,6 +55,43 @@ func TestParseSLO(t *testing.T) {
 	}
 }
 
+// TestParseSLORefusesNonFinite: a NaN or infinite threshold, rate or
+// quantile would make an objective that can never go bad; each is
+// refused, naming the offending token.
+func TestParseSLORefusesNonFinite(t *testing.T) {
+	for spec, tok := range map[string]string{
+		"p99<NaN":          `"NaN"`,
+		"p99<Inf":          `"Inf"`,
+		"protect:p50<+Inf": `"+Inf"`,
+		"err<NaN":          `"NaN"`,
+		"err<NaN%":         `"NaN%"`,
+		"err<Inf":          `"Inf"`,
+		"pNaN<5ms":         `"pNaN<5ms"`,
+	} {
+		if objs, err := ParseSLO(spec); err == nil || !strings.Contains(err.Error(), tok) {
+			t.Errorf("ParseSLO(%q) = %+v, %v; want an error naming %s", spec, objs, err, tok)
+		}
+	}
+}
+
+// FuzzParseSLO: no spec panics the parser, and every accepted spec
+// parses back from each objective's Name() to that same objective.
+// Seeds under testdata/fuzz are the specs README and the tests use.
+func FuzzParseSLO(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		objs, err := ParseSLO(spec)
+		if err != nil {
+			return
+		}
+		for _, o := range objs {
+			again, err := ParseSLO(o.Name())
+			if err != nil || len(again) != 1 || again[0] != o {
+				t.Fatalf("objective %+v: ParseSLO(%q) = %+v, %v", o, o.Name(), again, err)
+			}
+		}
+	})
+}
+
 func TestObjectiveMatchesAndBad(t *testing.T) {
 	o := Objective{Route: "protect", Quantile: 0.99, ThresholdMs: 100}
 	if !o.Matches("POST /v1/protect") || !o.Matches("PROTECT") || o.Matches("GET /v1/datasets") {

@@ -47,6 +47,25 @@ type Node struct {
 	Addr string `json:"addr"`
 }
 
+// Status is the GET /v1/ring body: the answering node's view of the
+// membership.
+type Status struct {
+	// Enabled is false on a daemon running single-node; the rest of the
+	// fields are then zero.
+	Enabled bool `json:"enabled"`
+	// Self is the answering node's ID.
+	Self string `json:"self"`
+	// Epoch is the membership version; higher supersedes lower.
+	Epoch int64 `json:"epoch"`
+	// Vnodes is the virtual-node count placement hashing uses. Clients
+	// must hash with the same value to agree with the daemons.
+	Vnodes int `json:"vnodes"`
+	// Replicas is how many successor nodes mirror each owner.
+	Replicas int `json:"replicas"`
+	// Nodes is the full member list.
+	Nodes []Node `json:"nodes"`
+}
+
 // vnode is one point on the hash circle.
 type vnode struct {
 	hash uint64

@@ -196,6 +196,7 @@ type Result struct {
 	Parties     []ResultParty `json:"parties"`
 	Assignments []int         `json:"assignments"`
 	Inertia     float64       `json:"inertia,omitempty"`
+	Iterations  int           `json:"iterations,omitempty"`
 	Converged   bool          `json:"converged"`
 	Silhouette  *float64      `json:"silhouette,omitempty"`
 }

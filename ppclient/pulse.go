@@ -12,35 +12,32 @@ import (
 	"net/url"
 	"strconv"
 	"time"
+
+	"ppclust/internal/obs"
 )
 
-// HistoryPoint is one sample of a history series: wall-clock
-// milliseconds and the value.
-type HistoryPoint struct {
-	TMs int64   `json:"t_ms"`
-	V   float64 `json:"v"`
-}
-
-// HistorySeries is one sampled series, points oldest first. Counter
-// series carry a ":rate" base suffix (per-second), histogram series a
-// "_p50"/"_p95"/"_p99" per-step percentile suffix; gauges keep their
-// registry names.
-type HistorySeries struct {
-	Name   string         `json:"name"`
-	Points []HistoryPoint `json:"points"`
-}
-
-// MetricsHistory is GET /v1/metrics/history: the sampler's retained
-// series. In cluster scope, series names carry a node label and Nodes
-// lists every node that answered; PeerErrors names the ones that did
-// not.
-type MetricsHistory struct {
-	IntervalMs int64             `json:"interval_ms"`
-	Nodes      []string          `json:"nodes,omitempty"`
-	PeerErrors map[string]string `json:"peer_errors,omitempty"`
-	Truncated  bool              `json:"truncated,omitempty"`
-	Series     []HistorySeries   `json:"series"`
-}
+// The pppulse views are the daemon's own types (internal/obs).
+type (
+	// HistoryPoint is one sample of a history series: wall-clock
+	// milliseconds and the value.
+	HistoryPoint = obs.HistoryPoint
+	// HistorySeries is one sampled series, points oldest first.
+	HistorySeries = obs.HistorySeries
+	// MetricsHistory is GET /v1/metrics/history. In cluster scope,
+	// PeerErrors names the nodes that did not answer.
+	MetricsHistory = obs.HistoryView
+	// Alert is one rule instance's live state: "pending" (condition
+	// holding but not yet past its 'for' duration), "firing", or
+	// "resolved".
+	Alert = obs.Alert
+	// AlertList is GET /v1/alerts.
+	AlertList = obs.AlertList
+	// Incident is one captured incident bundle's manifest: the alert
+	// that fired it, the evidence files captured, and the trace IDs of
+	// the worst requests in the breach window (each resolvable via
+	// Trace).
+	Incident = obs.IncidentMeta
+)
 
 // HistoryFilter narrows a MetricsHistory call; the zero value returns
 // every retained series from the answering node.
@@ -94,31 +91,6 @@ func (c *Client) MetricsHistory(ctx context.Context, f HistoryFilter) (*MetricsH
 	return &out, nil
 }
 
-// Alert is one rule instance's live state: "pending" (condition holding
-// but not yet past its 'for' duration), "firing", or "resolved".
-type Alert struct {
-	Rule       string    `json:"rule"`
-	Kind       string    `json:"kind"`
-	Series     string    `json:"series,omitempty"`
-	Node       string    `json:"node,omitempty"`
-	State      string    `json:"state"`
-	Value      float64   `json:"value"`
-	Threshold  float64   `json:"threshold"`
-	Since      time.Time `json:"since"`
-	FiredAt    time.Time `json:"fired_at,omitzero"`
-	ResolvedAt time.Time `json:"resolved_at,omitzero"`
-}
-
-// AlertList is GET /v1/alerts: firing first, then pending, then
-// recently resolved. Enabled is false when the answering node has no
-// alert rules and no SLOs configured.
-type AlertList struct {
-	Enabled    bool              `json:"enabled"`
-	Nodes      []string          `json:"nodes,omitempty"`
-	PeerErrors map[string]string `json:"peer_errors,omitempty"`
-	Alerts     []Alert           `json:"alerts"`
-}
-
 // Alerts fetches live alert instances from the answering node, or from
 // every ring node when cluster is true (each alert carries the node
 // that evaluated it).
@@ -132,23 +104,6 @@ func (c *Client) Alerts(ctx context.Context, cluster bool) (*AlertList, error) {
 		return nil, err
 	}
 	return &out, nil
-}
-
-// Incident is one captured incident bundle's manifest: the alert that
-// fired it, the evidence files captured, and the trace IDs of the worst
-// requests in the breach window (each resolvable via Trace).
-type Incident struct {
-	ID        string    `json:"id"`
-	Rule      string    `json:"rule"`
-	Kind      string    `json:"kind,omitempty"`
-	Series    string    `json:"series,omitempty"`
-	Node      string    `json:"node,omitempty"`
-	Value     float64   `json:"value"`
-	Threshold float64   `json:"threshold"`
-	At        time.Time `json:"at"`
-	TraceIDs  []string  `json:"trace_ids,omitempty"`
-	Files     []string  `json:"files"`
-	Notes     []string  `json:"notes,omitempty"`
 }
 
 // Incidents lists the answering node's captured incident bundles,

@@ -15,29 +15,12 @@ import (
 	"ppclust/internal/ring"
 )
 
-// RingNode is one member of a ppclustd ring.
-type RingNode struct {
-	ID   string `json:"id"`
-	Addr string `json:"addr"`
-}
-
-// RingStatus mirrors GET /v1/ring: the node's view of the membership.
-type RingStatus struct {
-	// Enabled is false on a daemon running single-node; the rest of the
-	// fields are then zero.
-	Enabled bool `json:"enabled"`
-	// Self is the answering node's ID.
-	Self string `json:"self"`
-	// Epoch is the membership version; higher supersedes lower.
-	Epoch int64 `json:"epoch"`
-	// Vnodes is the virtual-node count placement hashing uses. Clients
-	// must hash with the same value to agree with the daemons.
-	Vnodes int `json:"vnodes"`
-	// Replicas is how many successor nodes mirror each owner.
-	Replicas int `json:"replicas"`
-	// Nodes is the full member list.
-	Nodes []RingNode `json:"nodes"`
-}
+type (
+	// RingNode is one member of a ppclustd ring.
+	RingNode = ring.Node
+	// RingStatus is GET /v1/ring: the node's view of the membership.
+	RingStatus = ring.Status
+)
 
 // RingStatus fetches the answering node's view of the ring. A daemon
 // running single-node reports Enabled=false.
@@ -71,13 +54,11 @@ func (c *Client) UseRing(ctx context.Context) error {
 		return nil
 	}
 	r := ring.New(st.Vnodes)
-	members := make([]ring.Node, len(st.Nodes))
 	nodes := make(map[string]string, len(st.Nodes))
-	for i, n := range st.Nodes {
-		members[i] = ring.Node{ID: n.ID, Addr: n.Addr}
+	for _, n := range st.Nodes {
 		nodes[n.ID] = n.Addr
 	}
-	r.Seed(st.Epoch, members)
+	r.Seed(st.Epoch, st.Nodes)
 	c.ringMu.Lock()
 	c.ringTable = &ringState{ring: r, nodes: nodes}
 	c.ringMu.Unlock()

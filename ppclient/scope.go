@@ -11,48 +11,36 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"time"
+
+	"ppclust/internal/obs"
 )
 
-// SpanAttr is one key/value annotation on a span.
-type SpanAttr struct {
-	Key   string `json:"k"`
-	Value any    `json:"v"`
-}
-
-// Span is one node of a trace's span tree. StartUs is the offset from
-// the trace start in microseconds; in a stitched cross-node tree the
-// offsets of grafted subtrees are rebased onto the entry node's clock.
-type Span struct {
-	Name     string     `json:"name"`
-	StartUs  int64      `json:"start_us"`
-	DurUs    int64      `json:"dur_us"`
-	Attrs    []SpanAttr `json:"attrs,omitempty"`
-	Children []*Span    `json:"children,omitempty"`
-}
-
-// TraceSummary is one retained trace as listed by GET /v1/traces, and
-// one per-node record inside a TraceView.
-type TraceSummary struct {
-	ID     string    `json:"id"`
-	Node   string    `json:"node,omitempty"`
-	Route  string    `json:"route"`
-	Status int       `json:"status"`
-	Owner  string    `json:"owner,omitempty"`
-	Start  time.Time `json:"start"`
-	DurMs  float64   `json:"dur_ms"`
-	Error  bool      `json:"error"`
-}
-
-// TraceView is GET /v1/traces/{id}: the per-node records plus the
-// single stitched span tree. PeerErrors lists ring peers that could not
-// be asked for their part of the trace.
-type TraceView struct {
-	ID         string            `json:"id"`
-	Nodes      []TraceSummary    `json:"nodes"`
-	PeerErrors map[string]string `json:"peer_errors,omitempty"`
-	Spans      *Span             `json:"spans"`
-}
+// The observability views are the daemon's own types (internal/obs),
+// so a field the daemon serves is a field the client reads.
+type (
+	// SpanAttr is one key/value annotation on a span.
+	SpanAttr = obs.Attr
+	// Span is one node of a trace's span tree. StartUs is the offset
+	// from the trace start in microseconds; in a stitched cross-node tree
+	// the offsets of grafted subtrees are rebased onto the entry node's
+	// clock.
+	Span = obs.SpanNode
+	// TraceSummary is one retained trace as listed by GET /v1/traces,
+	// and one per-node record inside a TraceView (spans stripped).
+	TraceSummary = obs.TraceRecord
+	// TraceView is GET /v1/traces/{id}: the per-node records plus the
+	// single stitched span tree. PeerErrors lists ring peers that could
+	// not be asked for their part of the trace.
+	TraceView = obs.TraceView
+	// ClusterMetrics is GET /v1/cluster/metrics. ScrapeErrors names the
+	// nodes the aggregate is missing.
+	ClusterMetrics = obs.ClusterMetrics
+	// SLOObjective is one objective's live evaluation inside an
+	// SLOReport.
+	SLOObjective = obs.SLOStatus
+	// SLOReport is GET /v1/slo.
+	SLOReport = obs.SLOReport
+)
 
 // TraceFilter narrows a Traces listing; the zero value lists everything
 // (newest first, server-side default limit).
@@ -101,15 +89,6 @@ func (c *Client) Traces(ctx context.Context, f TraceFilter) ([]TraceSummary, err
 	return out.Traces, nil
 }
 
-// ClusterMetrics is GET /v1/cluster/metrics: counters and histograms
-// summed across every reachable node, gauges labelled per node.
-// ScrapeErrors names the nodes the aggregate is missing.
-type ClusterMetrics struct {
-	Nodes        []string          `json:"nodes"`
-	ScrapeErrors map[string]string `json:"scrape_errors,omitempty"`
-	Metrics      map[string]int64  `json:"metrics"`
-}
-
 // ClusterMetrics fetches the cluster-wide metrics aggregate from the
 // configured node. A partial aggregate (some peers down) is a success
 // with ScrapeErrors set, not an error.
@@ -119,30 +98,6 @@ func (c *Client) ClusterMetrics(ctx context.Context) (*ClusterMetrics, error) {
 		return nil, err
 	}
 	return &out, nil
-}
-
-// SLOObjective is one objective's live evaluation inside an SLOReport.
-type SLOObjective struct {
-	Objective    string  `json:"objective"`
-	Route        string  `json:"route,omitempty"`
-	Kind         string  `json:"kind"`
-	Target       string  `json:"target"`
-	Requests     int64   `json:"requests"`
-	Bad          int64   `json:"bad"`
-	Budget       float64 `json:"budget"`
-	BurnRate     float64 `json:"burn_rate"`
-	ObservedMs   float64 `json:"observed_ms,omitempty"`
-	ObservedRate float64 `json:"observed_rate"`
-	State        string  `json:"state"`
-}
-
-// SLOReport is GET /v1/slo: per-objective states, worst first; Status
-// is the worst state overall ("ok", "warning" or "breach").
-type SLOReport struct {
-	Enabled    bool           `json:"enabled"`
-	WindowS    float64        `json:"window_s,omitempty"`
-	Status     string         `json:"status"`
-	Objectives []SLOObjective `json:"objectives,omitempty"`
 }
 
 // SLOStatus fetches the answering node's SLO evaluation. A daemon
