@@ -26,6 +26,7 @@ import (
 
 	"ppclust/internal/codec"
 	"ppclust/internal/federation"
+	"ppclust/internal/jobs"
 	"ppclust/internal/keyring"
 	"ppclust/internal/service"
 )
@@ -219,12 +220,12 @@ func (s *server) handleFederationResult(w http.ResponseWriter, r *http.Request) 
 	}
 	res, st, err := s.svc.Federations.Result(r.PathValue("id"), owner)
 	if err != nil {
+		env := service.Envelope(err)
 		if st.ID != "" {
-			writeErrWith(w, err, map[string]any{"status": st})
-			return
+			env.Status = &st
 		}
-		writeErr(w, err)
+		writeJSON(w, httpStatus(env.Error.Code), env)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": st, "result": res})
+	writeJSON(w, http.StatusOK, jobs.ResultView[any]{Status: st, Result: res})
 }

@@ -160,6 +160,30 @@ func TestFitRefusesOverflowingParams(t *testing.T) {
 	}
 }
 
+// A non-finite privacy threshold is the client's fault: strconv reads
+// "NaN" and "Inf", and a NaN PST would accept every angle, so the fit is
+// answered 400 invalid and stores no key.
+func TestFitRefusesNonFiniteThreshold(t *testing.T) {
+	s := newServerWith(t, engine.New(2, 0), keyring.NewMemory())
+	ts := httptest.NewServer(s.handler())
+	t.Cleanup(ts.Close)
+	body, _ := testCSV(t, 20, 1)
+	for i, q := range []string{"rho1=NaN&rho2=NaN", "rho1=0.3&rho2=NaN", "rho1=Inf&rho2=0.3", "rho1=0.3&rho2=-Inf"} {
+		owner := fmt.Sprintf("nan-%d", i)
+		resp, got := post(t, ts.URL+"/v1/protect?owner="+owner+"&"+q, body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(got, `"invalid"`) {
+			t.Fatalf("%s: %d %s, want 400 invalid", q, resp.StatusCode, got)
+		}
+		st, err := s.svc.Keys.State(owner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.HasKey || st.HasCred {
+			t.Fatalf("%s: a refused fit stored %+v", q, st)
+		}
+	}
+}
+
 // A 2000×32 binary fit allocates at most 1.6 times its body per request,
 // in-process client included: the body is decoded once, normalized and
 // rotated in place (the engine allocates nothing the size of the data)

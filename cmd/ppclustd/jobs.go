@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"ppclust/internal/jobs"
 	"ppclust/internal/service"
 )
 
@@ -87,5 +88,5 @@ func (s *server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": st, "result": res})
+	writeJSON(w, http.StatusOK, jobs.ResultView[any]{Status: st, Result: res})
 }

@@ -137,10 +137,7 @@ func waitJob(t *testing.T, ts *httptest.Server, owner, token, id string) jobs.St
 // jobResult fetches and decodes a finished job's result payload.
 func jobResult(t *testing.T, ts *httptest.Server, owner, token, id string, out any) {
 	t.Helper()
-	var wrapper struct {
-		Status jobs.Status     `json:"status"`
-		Result json.RawMessage `json:"result"`
-	}
+	var wrapper jobs.ResultView[json.RawMessage]
 	resp, body := getJSON(t, fmt.Sprintf("%s/v1/jobs/%s/result?owner=%s", ts.URL, id, owner), token, &wrapper)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("result: %d: %s", resp.StatusCode, body)

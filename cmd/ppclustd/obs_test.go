@@ -134,8 +134,8 @@ func TestJobTraceAndTimeline(t *testing.T) {
 	if len(done.Timeline) == 0 {
 		t.Fatal("finished job has no timeline")
 	}
-	if done.Timeline[0].Stage != "queued" || done.Timeline[1].Stage != "running" {
-		t.Fatalf("timeline starts %q,%q, want queued,running", done.Timeline[0].Stage, done.Timeline[1].Stage)
+	if done.Timeline[0].Name != "queued" || done.Timeline[1].Name != "running" {
+		t.Fatalf("timeline starts %q,%q, want queued,running", done.Timeline[0].Name, done.Timeline[1].Name)
 	}
 }
 

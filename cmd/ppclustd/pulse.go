@@ -252,10 +252,7 @@ func (s *server) handleIncidentList(w http.ResponseWriter, _ *http.Request) {
 	if list == nil {
 		list = []obs.IncidentMeta{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"enabled":   s.recorder != nil,
-		"incidents": list,
-	})
+	writeJSON(w, http.StatusOK, obs.IncidentList{Enabled: s.recorder != nil, Incidents: list})
 }
 
 // handleIncidentGet serves one bundle's manifest.

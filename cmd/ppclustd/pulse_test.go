@@ -321,9 +321,7 @@ func TestPulseDisabledPlane(t *testing.T) {
 		t.Fatalf("alerts on a pulseless daemon = %+v", alerts)
 	}
 
-	var incs struct {
-		Enabled bool `json:"enabled"`
-	}
+	var incs obs.IncidentList
 	if resp, body := getJSON(t, ts.URL+"/v1/incidents", "", &incs); resp.StatusCode != http.StatusOK || incs.Enabled {
 		t.Fatalf("incidents: %d %s enabled=%v", resp.StatusCode, body, incs.Enabled)
 	}

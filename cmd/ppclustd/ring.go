@@ -284,17 +284,12 @@ func (rt *ringRuntime) roundTrip(ctx context.Context, addr, method, path string,
 		return 0, err
 	}
 	defer resp.Body.Close()
+	if err := peerStatus(resp); err != nil {
+		return resp.StatusCode, err
+	}
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return resp.StatusCode, err
-	}
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		var env errEnvelope
-		msg := strings.TrimSpace(string(raw))
-		if json.Unmarshal(raw, &env) == nil && env.Error.Message != "" {
-			msg = env.Error.Message
-		}
-		return resp.StatusCode, fmt.Errorf("%s %s%s: %d: %s", method, addr, path, resp.StatusCode, msg)
 	}
 	if out != nil && len(raw) > 0 {
 		if err := json.Unmarshal(raw, out); err != nil {
@@ -302,6 +297,21 @@ func (rt *ringRuntime) roundTrip(ctx context.Context, addr, method, path string,
 		}
 	}
 	return resp.StatusCode, nil
+}
+
+// peerStatus turns a peer's non-2xx answer into an error that names the
+// request, the status and the message of the peer's error envelope (its
+// raw body when it sent none). A 2xx answer is nil, its body unread.
+func peerStatus(resp *http.Response) error {
+	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
+		return nil
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	msg := strings.TrimSpace(string(raw))
+	if body, ok := service.ParseError(raw); ok {
+		msg = body.Message
+	}
+	return fmt.Errorf("%s %s: %d: %s", resp.Request.Method, resp.Request.URL, resp.StatusCode, msg)
 }
 
 // placement returns the nodes holding key, primary first.
@@ -482,7 +492,7 @@ func (rt *ringRuntime) shipTo(ctx context.Context, n ring.Node, ev service.Repli
 		return rt.sendDataset(ctx, n.Addr, ds)
 	case service.ReplicateDatasetDelete:
 		_, err := rt.roundTrip(ctx, n.Addr, http.MethodPost, "/v1/ring/replicate/dataset-delete",
-			map[string]string{"owner": ev.Owner, "name": ev.Dataset}, nil)
+			datasetRef{Owner: ev.Owner, Name: ev.Dataset}, nil)
 		return err
 	default:
 		return fmt.Errorf("unknown replication kind %q", ev.Kind)
@@ -513,12 +523,12 @@ func (rt *ringRuntime) sendDataset(ctx context.Context, addr string, ds *datasto
 	if err != nil {
 		return err
 	}
-	raw, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		return rerr
+	defer resp.Body.Close()
+	if err := peerStatus(resp); err != nil {
+		return err
 	}
-	return fmt.Errorf("POST %s%s: %d: %s", addr, path, resp.StatusCode, strings.TrimSpace(string(raw)))
+	_, err = io.Copy(io.Discard, resp.Body)
+	return err
 }
 
 // encodeDatasetFrames writes a dataset as a framed binary row stream,
@@ -617,9 +627,8 @@ func (rt *ringRuntime) fetchDataset(ctx context.Context, from ring.Node, owner, 
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		raw, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("GET %s%s: %d: %s", from.Addr, path, resp.StatusCode, strings.TrimSpace(string(raw)))
+	if err := peerStatus(resp); err != nil {
+		return err
 	}
 	createdAt, err := time.Parse(time.RFC3339Nano, resp.Header.Get(hdrCreatedAt))
 	if err != nil {
@@ -992,11 +1001,14 @@ func (rt *ringRuntime) handleReplicateDataset(w http.ResponseWriter, r *http.Req
 	writeJSON(w, http.StatusOK, map[string]string{"imported": owner + "/" + name})
 }
 
+// datasetRef is the POST /v1/ring/replicate/dataset-delete body.
+type datasetRef struct {
+	Owner string `json:"owner"`
+	Name  string `json:"name"`
+}
+
 func (rt *ringRuntime) handleReplicateDatasetDelete(w http.ResponseWriter, r *http.Request) {
-	var in struct {
-		Owner string `json:"owner"`
-		Name  string `json:"name"`
-	}
+	var in datasetRef
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&in); err != nil {
 		writeErr(w, service.Invalid(fmt.Errorf("parsing dataset delete: %w", err)))
 		return
@@ -1080,7 +1092,7 @@ func (rt *ringRuntime) middleware(next http.Handler) http.Handler {
 			hop, _ = strconv.Atoi(h)
 		}
 		if hop >= maxHops {
-			writeJSON(w, http.StatusLoopDetected, errEnvelope{Error: errBody{
+			writeJSON(w, http.StatusLoopDetected, service.ErrorEnvelope{Error: service.ErrorBody{
 				Code:    service.CodeInternal,
 				Message: fmt.Sprintf("ring forwarding loop for key %q after %d hops; membership views disagree", key, hop),
 			}})
@@ -1120,7 +1132,7 @@ func (rt *ringRuntime) middleware(next http.Handler) http.Handler {
 			}
 			return
 		}
-		writeJSON(w, http.StatusBadGateway, errEnvelope{Error: errBody{
+		writeJSON(w, http.StatusBadGateway, service.ErrorEnvelope{Error: service.ErrorBody{
 			Code:    service.CodeInternal,
 			Message: fmt.Sprintf("no reachable node for key %q: %v", key, lastErr),
 		}})

@@ -11,7 +11,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -709,11 +711,7 @@ func TestRingImportKeepsCopyOnFailedTransfer(t *testing.T) {
 	}
 	for _, tc := range refused {
 		code, msg := send(tc.at, tc.body)
-		var env struct {
-			Error struct {
-				Code string `json:"code"`
-			} `json:"error"`
-		}
+		var env service.ErrorEnvelope
 		if code != http.StatusBadRequest || json.Unmarshal([]byte(msg), &env) != nil || env.Error.Code != service.CodeInvalid {
 			t.Fatalf("later transfer %s: %d %s, want 400 invalid", tc.name, code, msg)
 		}
@@ -742,6 +740,42 @@ func TestRingImportKeepsCopyOnFailedTransfer(t *testing.T) {
 	}
 	if !ds.CreatedAt.Equal(later) || !bitIdentical(got, m) || !slices.Equal(ds.Labels(), labels) {
 		t.Fatal("later complete transfer did not replace d with its rows and labels")
+	}
+}
+
+// TestPeerRefusalNamesMessage: when a peer refuses a dataset transfer, a
+// catch-up fetch or an internal JSON call, the error that replication
+// and catch-up log names the status and the message of the peer's error
+// envelope, not the envelope's raw JSON.
+func TestPeerRefusalNamesMessage(t *testing.T) {
+	const msg = "ring: transfer for keeper/d: truncated stream"
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		writeErr(w, service.Invalid(errors.New(msg)))
+	}))
+	defer peer.Close()
+	rt := &ringRuntime{clients: map[string]*ppclient.Client{}}
+	b, err := datastore.NewBuilder("keeper", "d", []string{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Append([]float64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := b.Finish(time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	_, rtErr := rt.roundTrip(ctx, peer.URL, http.MethodPost, "/v1/ring/replicate/dataset-delete", datasetRef{Owner: "keeper", Name: "d"}, nil)
+	for name, err := range map[string]error{
+		"dataset transfer": rt.sendDataset(ctx, peer.URL, ds),
+		"dataset fetch":    rt.fetchDataset(ctx, ring.Node{ID: "p", Addr: peer.URL}, "keeper", "d"),
+		"JSON call":        rtErr,
+	} {
+		if err == nil || !strings.Contains(err.Error(), ": 400: "+msg) || strings.Contains(err.Error(), `{"error"`) {
+			t.Errorf("%s refused by the peer: %v, want the status and the envelope's message", name, err)
+		}
 	}
 }
 
@@ -783,7 +817,7 @@ func TestAdmissionHTTP429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("third request: %d %s, want 429", resp.StatusCode, body)
 	}
-	var env errEnvelope
+	var env service.ErrorEnvelope
 	if err := json.Unmarshal([]byte(body), &env); err != nil || env.Error.Code != "rate_limited" {
 		t.Fatalf("429 body is not the rate_limited envelope: %s", body)
 	}

@@ -101,7 +101,7 @@ func (s *server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 	for i := range recs {
 		recs[i].Spans = nil // listings are summaries; the span tree is per-ID
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"traces": recs})
+	writeJSON(w, http.StatusOK, obs.TraceList{Traces: recs})
 }
 
 // handleTraceGet serves GET /v1/traces/{id}: the local record plus a

@@ -80,9 +80,7 @@ func TestTraceQueryAPI(t *testing.T) {
 		t.Error("per-node records must not duplicate the span payload")
 	}
 
-	var listing struct {
-		Traces []obs.TraceRecord `json:"traces"`
-	}
+	var listing obs.TraceList
 	if scopeGet(t, ts.URL+"/v1/traces", &listing) != http.StatusOK || len(listing.Traces) == 0 {
 		t.Fatalf("listing = %+v", listing)
 	}

@@ -533,35 +533,14 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// errEnvelope is the one error shape every route returns.
-type errEnvelope struct {
-	Error errBody `json:"error"`
-}
-
-type errBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
 // writeErr maps a service-classified error onto the HTTP status and the
 // shared error envelope — the single exit for every failure response.
 func writeErr(w http.ResponseWriter, err error) {
-	code := service.Code(err)
-	if code == service.CodeUnauthenticated {
+	env := service.Envelope(err)
+	if env.Error.Code == service.CodeUnauthenticated {
 		w.Header().Set("WWW-Authenticate", `Bearer realm="ppclust"`)
 	}
-	writeJSON(w, httpStatus(code), errEnvelope{Error: errBody{Code: code, Message: err.Error()}})
-}
-
-// writeErrWith writes the shared envelope plus extra top-level siblings
-// (e.g. a job status alongside a not-ready conflict).
-func writeErrWith(w http.ResponseWriter, err error, extra map[string]any) {
-	code := service.Code(err)
-	body := map[string]any{"error": errBody{Code: code, Message: err.Error()}}
-	for k, v := range extra {
-		body[k] = v
-	}
-	writeJSON(w, httpStatus(code), body)
+	writeJSON(w, httpStatus(env.Error.Code), env)
 }
 
 // httpStatus maps envelope codes onto HTTP statuses.

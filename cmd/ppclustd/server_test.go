@@ -20,6 +20,7 @@ import (
 	"ppclust/internal/jobs"
 	"ppclust/internal/keyring"
 	"ppclust/internal/matrix"
+	"ppclust/internal/service"
 )
 
 // newServerWith assembles a server around the given keyring with fresh
@@ -335,12 +336,7 @@ func TestHTTPErrors(t *testing.T) {
 			}
 			// Every error crosses the wire in the one shared envelope:
 			// {"error": {"code": "...", "message": "..."}}.
-			var e struct {
-				Error struct {
-					Code    string `json:"code"`
-					Message string `json:"message"`
-				} `json:"error"`
-			}
+			var e service.ErrorEnvelope
 			if err := json.Unmarshal([]byte(body), &e); err != nil || e.Error.Code == "" || e.Error.Message == "" {
 				t.Fatalf("expected enveloped JSON error body, got %q", body)
 			}

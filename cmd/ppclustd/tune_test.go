@@ -188,7 +188,7 @@ func TestTuneJobCancellation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if js.State == string(jobs.StateRunning) {
+		if js.State == jobs.StateRunning {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -204,7 +204,7 @@ func TestTuneJobCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.State != string(jobs.StateCancelled) {
+	if final.State != jobs.StateCancelled {
 		t.Fatalf("final state = %s (%s), want cancelled", final.State, final.Error)
 	}
 	if waited := time.Since(cancelled); waited > 15*time.Second {

@@ -12,6 +12,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"ppclust/internal/stats"
@@ -25,9 +26,10 @@ var (
 	ErrEmptySecurityRange = errors.New("core: empty security range; lower the pairwise-security threshold")
 	// ErrBadPair reports an invalid attribute pair.
 	ErrBadPair = errors.New("core: invalid attribute pair")
-	// ErrBadThreshold reports a non-positive PST, which Definition 2
-	// forbids (ρ1 > 0 and ρ2 > 0).
-	ErrBadThreshold = errors.New("core: pairwise-security threshold must be positive")
+	// ErrBadThreshold reports a PST that is not a positive finite number:
+	// Definition 2 asks ρ1 > 0 and ρ2 > 0, and NaN would make every angle
+	// secure.
+	ErrBadThreshold = errors.New("core: pairwise-security threshold must be positive and finite")
 	// ErrBadInput reports malformed input data.
 	ErrBadInput = errors.New("core: invalid input")
 )
@@ -59,9 +61,10 @@ type PST struct {
 	Rho2 float64 `json:"rho2"`
 }
 
-// Valid enforces Definition 2's ρ1 > 0, ρ2 > 0.
+// Valid enforces Definition 2's ρ1 > 0, ρ2 > 0, both finite. NaN fails
+// every comparison, so a NaN threshold would accept any angle.
 func (t PST) Valid() error {
-	if t.Rho1 <= 0 || t.Rho2 <= 0 {
+	if !(t.Rho1 > 0) || !(t.Rho2 > 0) || math.IsInf(t.Rho1, 1) || math.IsInf(t.Rho2, 1) {
 		return fmt.Errorf("%w: got (%g, %g)", ErrBadThreshold, t.Rho1, t.Rho2)
 	}
 	return nil

@@ -394,6 +394,23 @@ func TestSecurityRangeBadThreshold(t *testing.T) {
 	}
 }
 
+// TestPSTRefusesNonFinite: NaN fails every comparison, so a NaN
+// threshold used to pass Valid and make the whole circle secure; NaN and
+// ±Inf in either slot are refused, by Valid and by SecurityRange.
+func TestPSTRefusesNonFinite(t *testing.T) {
+	curve := &VarianceCurve{VarX: 1, VarY: 1, Cov: 0}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, pst := range []PST{{Rho1: bad, Rho2: 0.3}, {Rho1: 0.3, Rho2: bad}, {Rho1: bad, Rho2: bad}} {
+			if err := pst.Valid(); !errors.Is(err, ErrBadThreshold) {
+				t.Errorf("%+v: Valid = %v, want ErrBadThreshold", pst, err)
+			}
+			if ivs, err := curve.SecurityRange(pst, 0); !errors.Is(err, ErrBadThreshold) {
+				t.Errorf("%+v: SecurityRange = %v, %v, want ErrBadThreshold", pst, ivs, err)
+			}
+		}
+	}
+}
+
 func TestSecurityRangeDefaultsGrid(t *testing.T) {
 	curve := &VarianceCurve{VarX: 1, VarY: 1, Cov: 0}
 	ivs, err := curve.SecurityRange(PST{Rho1: 0.5, Rho2: 0.5}, 0)

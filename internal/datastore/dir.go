@@ -183,7 +183,9 @@ func (d *Dir) loadDataset(owner, name string) (*Dataset, error) {
 		return nil, nil // unreadable header: unrecoverable
 	}
 	meta := hdr.Meta
-	if meta.Cols <= 0 || ValidName(meta.Owner) != nil || ValidName(meta.Name) != nil {
+	// A header must describe the directory it sits in, with one attribute
+	// name per column.
+	if meta.Cols <= 0 || len(meta.Attrs) != meta.Cols || meta.Owner != owner || meta.Name != name {
 		return nil, nil
 	}
 	ds := &Dataset{Meta: meta}
@@ -203,8 +205,10 @@ func (d *Dir) loadDataset(owner, name string) (*Dataset, error) {
 		if meta.Labeled != (batch.Labels != nil) || (batch.Labels != nil && len(batch.Labels) != batch.Rows) {
 			break
 		}
+		// The segment must hold rows×cols float64s; dividing its size
+		// cannot overflow where multiplying the row count up can.
 		fi, err := os.Stat(filepath.Join(dir, batch.Seg))
-		if err != nil || fi.Size() < int64(batch.Rows)*int64(meta.Cols)*8 {
+		if err != nil || int64(batch.Rows) > fi.Size()/8/int64(meta.Cols) {
 			break // truncated or missing segment: drop this batch and the rest
 		}
 		ds.segs = append(ds.segs, d.lazySeg(owner, name, batch.Seg, batch.Rows, meta.Cols))

@@ -396,6 +396,7 @@ func (s Secret) NormalizeRow(row []float64) { normalizeRow(row, s) }
 // blocked passes.
 func (e *Engine) columnMeansStds(data *matrix.Dense, d stats.Denominator) (means, stds []float64, err error) {
 	m, n := data.Dims()
+	src := data.Raw()
 	nb := e.numBlocks(m)
 	part := e.getScratch(nb * n)
 	defer e.putScratch(part)
@@ -403,8 +404,8 @@ func (e *Engine) columnMeansStds(data *matrix.Dense, d stats.Denominator) (means
 	e.forBlocks(m, func(lo, hi int) {
 		sums := part[(lo/e.blockRows)*n : (lo/e.blockRows+1)*n]
 		clear(sums)
-		for r := lo; r < hi; r++ {
-			for j, v := range data.RawRow(r) {
+		for r := lo * n; r < hi*n; r += n {
+			for j, v := range src[r : r+n : r+n] {
 				sums[j] += v
 			}
 		}
@@ -425,8 +426,8 @@ func (e *Engine) columnMeansStds(data *matrix.Dense, d stats.Denominator) (means
 	e.forBlocks(m, func(lo, hi int) {
 		ss := part[(lo/e.blockRows)*n : (lo/e.blockRows+1)*n]
 		clear(ss)
-		for r := lo; r < hi; r++ {
-			for j, v := range data.RawRow(r) {
+		for r := lo * n; r < hi*n; r += n {
+			for j, v := range src[r : r+n : r+n] {
 				dv := v - means[j]
 				ss[j] += dv * dv
 			}
@@ -451,6 +452,7 @@ func (e *Engine) columnMeansStds(data *matrix.Dense, d stats.Denominator) (means
 // columnMinsMaxs reduces per-column minima and maxima in one blocked pass.
 func (e *Engine) columnMinsMaxs(data *matrix.Dense) (mins, maxs []float64, err error) {
 	m, n := data.Dims()
+	src := data.Raw()
 	nb := e.numBlocks(m)
 	part := e.getScratch(nb * 2 * n)
 	defer e.putScratch(part)
@@ -464,8 +466,8 @@ func (e *Engine) columnMinsMaxs(data *matrix.Dense) (mins, maxs []float64, err e
 			bmins[j] = math.Inf(1)
 			bmaxs[j] = math.Inf(-1)
 		}
-		for r := lo; r < hi; r++ {
-			for j, v := range data.RawRow(r) {
+		for r := lo * n; r < hi*n; r += n {
+			for j, v := range src[r : r+n : r+n] {
 				// NaN never wins a < / > comparison, so it must be
 				// flagged here or it silently vanishes from the
 				// reduction and resurfaces as NaN in the release.

@@ -87,6 +87,15 @@ type Status struct {
 	Timeline []obs.Stage `json:"timeline,omitempty"`
 }
 
+// ResultView is the body of a finished job's result fetch (GET
+// /v1/jobs/{id}/result, and a federation's joint result): the final
+// status and what the runner returned. The daemon serves it with T any;
+// a client decodes T as the runner's result type.
+type ResultView[T any] struct {
+	Status Status `json:"status"`
+	Result T      `json:"result"`
+}
+
 // QueuedJob is the restartable description of a not-yet-started job — what
 // a draining daemon persists and a restarting daemon resubmits.
 type QueuedJob struct {

@@ -15,6 +15,20 @@ type TraceView struct {
 	Spans      *SpanNode         `json:"spans"`
 }
 
+// TraceList is the GET /v1/traces body: this node's retained traces,
+// newest first, as summaries without their span trees.
+type TraceList struct {
+	Traces []TraceRecord `json:"traces"`
+}
+
+// IncidentList is the GET /v1/incidents body: this node's captured
+// bundles, newest first. Enabled is false when the node runs without an
+// incident directory.
+type IncidentList struct {
+	Enabled   bool           `json:"enabled"`
+	Incidents []IncidentMeta `json:"incidents"`
+}
+
 // ClusterMetrics is the GET /v1/cluster/metrics JSON body: counters and
 // histograms summed across every reachable node, gauges labelled per
 // node (metrics.MergeSnapshots).

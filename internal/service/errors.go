@@ -10,6 +10,7 @@ package service
 // working — so embedding callers can switch on either vocabulary.
 
 import (
+	"encoding/json"
 	"errors"
 
 	"ppclust/internal/core"
@@ -60,6 +61,36 @@ const (
 	CodeRateLimited     = "rate_limited"
 	CodeInternal        = "internal"
 )
+
+// ErrorEnvelope is the one error body every route returns:
+// {"error": {"code", "message"}}. A federation result fetched before its
+// joint analysis finished also carries the job's live status.
+type ErrorEnvelope struct {
+	Error  ErrorBody    `json:"error"`
+	Status *jobs.Status `json:"status,omitempty"`
+}
+
+// ErrorBody is the envelope's error: a wire code and a message.
+type ErrorBody struct {
+	Code    string `json:"code"`
+	Message string `json:"message"`
+}
+
+// Envelope renders a classified error as the error envelope.
+func Envelope(err error) ErrorEnvelope {
+	return ErrorEnvelope{Error: ErrorBody{Code: Code(err), Message: err.Error()}}
+}
+
+// ParseError decodes a non-2xx body as the error envelope. ok is false
+// for an answer without one, such as the mux's plain-text 404 or a
+// proxy's 502.
+func ParseError(raw []byte) (body ErrorBody, ok bool) {
+	var env ErrorEnvelope
+	if json.Unmarshal(raw, &env) != nil || env.Error.Message == "" {
+		return ErrorBody{}, false
+	}
+	return env.Error, true
+}
 
 // Code returns the wire code for a classified error. Unclassified errors
 // are internal: the mapper, not the call sites, decides what leaks.

@@ -39,7 +39,6 @@ import (
 	"ppclust/internal/matrix"
 	"ppclust/internal/multiparty"
 	"ppclust/internal/obs"
-	"ppclust/internal/quality"
 )
 
 // ContributionDataset names a federation contribution inside a party's
@@ -427,17 +426,23 @@ type FedResultParty struct {
 	Offset int    `json:"offset"`
 }
 
-// FedOutcome is the federated-cluster job result.
+// FedOutcome is the federated-cluster job result: the joint clustering,
+// and where each party's rows sit in its assignments.
 type FedOutcome struct {
-	Federation  string           `json:"federation"`
-	Algorithm   string           `json:"algorithm"`
-	K           int              `json:"k"`
-	Parties     []FedResultParty `json:"parties"`
-	Assignments []int            `json:"assignments"`
-	Inertia     float64          `json:"inertia,omitempty"`
-	Iterations  int              `json:"iterations,omitempty"`
-	Converged   bool             `json:"converged"`
-	Silhouette  *float64         `json:"silhouette,omitempty"`
+	Federation string           `json:"federation"`
+	Parties    []FedResultParty `json:"parties"`
+	ClusterOutcome
+}
+
+// PartyAssignments returns the slice of the joint assignments that
+// belongs to owner's rows, in contribution order.
+func (r *FedOutcome) PartyAssignments(owner string) []int {
+	for _, p := range r.Parties {
+		if p.Owner == owner {
+			return r.Assignments[p.Offset : p.Offset+p.Rows]
+		}
+	}
+	return nil
 }
 
 // runFederatedCluster merges the sealed federation's protected
@@ -486,32 +491,11 @@ func (f *FederationService) runFederatedCluster(ctx context.Context, t *jobs.Tas
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.Cluster(joint)
+	outcome, err := clusterOutcome(ctx, t, c, joint)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	t.SetProgress(0.9)
-	out := &FedOutcome{
-		Federation:  spec.Federation,
-		Algorithm:   c.Name(),
-		K:           res.K,
-		Parties:     outParties,
-		Assignments: res.Assignments,
-		Inertia:     res.Inertia,
-		Iterations:  res.Iterations,
-		Converged:   res.Converged,
-	}
-	sil, err := quality.Silhouette(ctx, joint, res.Assignments)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err == nil {
-		out.Silhouette = &sil
-	}
-	return out, nil
+	return &FedOutcome{Federation: spec.Federation, Parties: outParties, ClusterOutcome: outcome}, nil
 }
 
 // storeContribution writes a protected matrix into the datastore as

@@ -18,6 +18,7 @@ import (
 	"ppclust/internal/datastore"
 	"ppclust/internal/engine"
 	"ppclust/internal/jobs"
+	"ppclust/internal/matrix"
 	"ppclust/internal/obs"
 	"ppclust/internal/quality"
 )
@@ -362,8 +363,9 @@ func (j *JobService) runProtect(ctx context.Context, t *jobs.Task) (any, error) 
 	}, nil
 }
 
-// ClusterOutcome is the shared result shape of cluster and the two halves
-// of evaluate.
+// ClusterOutcome is the cluster job's result, and the clustering half
+// of the federated-cluster job's (FedOutcome). KScores is set only by a
+// k-selection sweep.
 type ClusterOutcome struct {
 	Algorithm   string          `json:"algorithm"`
 	K           int             `json:"k"`
@@ -373,6 +375,40 @@ type ClusterOutcome struct {
 	Converged   bool            `json:"converged"`
 	Silhouette  *float64        `json:"silhouette,omitempty"`
 	KScores     map[int]float64 `json:"k_scores,omitempty"`
+}
+
+func newClusterOutcome(algorithm string, res *cluster.Result) ClusterOutcome {
+	return ClusterOutcome{
+		Algorithm:   algorithm,
+		K:           res.K,
+		Assignments: res.Assignments,
+		Inertia:     res.Inertia,
+		Iterations:  res.Iterations,
+		Converged:   res.Converged,
+	}
+}
+
+// clusterOutcome partitions data with c and scores the partition's
+// silhouette: the fixed-k cluster job's step, and the federated-cluster
+// job's over the joint release.
+func clusterOutcome(ctx context.Context, t *jobs.Task, c cluster.Clusterer, data *matrix.Dense) (ClusterOutcome, error) {
+	res, err := c.Cluster(data)
+	if err != nil {
+		return ClusterOutcome{}, err
+	}
+	if err := ctx.Err(); err != nil {
+		return ClusterOutcome{}, err
+	}
+	t.SetProgress(0.9)
+	out := newClusterOutcome(c.Name(), res)
+	sil, err := quality.Silhouette(ctx, data, res.Assignments)
+	if err := ctx.Err(); err != nil {
+		return ClusterOutcome{}, err
+	}
+	if err == nil {
+		out.Silhouette = &sil
+	}
+	return out, nil
 }
 
 // runCluster partitions a stored dataset, optionally selecting K by
@@ -397,59 +433,40 @@ func (j *JobService) runCluster(ctx context.Context, t *jobs.Task) (any, error) 
 
 	_, clSpan := obs.Start(ctx, "cluster")
 	defer clSpan.End()
-	outcome := &ClusterOutcome{}
-	var res *cluster.Result
-	sweep := spec.KMin != 0 || spec.KMax != 0
-	if sweep {
-		seed := spec.ClustSeed
-		if seed == 0 {
-			seed = 1
-		}
-		span := float64(spec.KMax - spec.KMin + 1)
-		sel, bestRes, err := cluster.SweepKBySilhouette(ctx, data, spec.KMin, spec.KMax, seed,
-			func(k int, _ float64) {
-				t.SetProgress(0.05 + 0.9*float64(k-spec.KMin+1)/span)
-			})
-		if err != nil {
-			return nil, err
-		}
-		res = bestRes
-		outcome.Algorithm = "kmeans"
-		outcome.KScores = sel.Scores
-		// The sweep scored the chosen k already; -1 marks a degenerate
-		// clustering, which has no silhouette.
-		if sil := sel.Scores[sel.K]; sil > -1 {
-			outcome.Silhouette = &sil
-		}
-	} else {
+	if spec.KMin == 0 && spec.KMax == 0 {
 		c, err := buildClusterer(&spec)
 		if err != nil {
 			return nil, err
 		}
-		if res, err = c.Cluster(data); err != nil {
+		out, err := clusterOutcome(ctx, t, c, data)
+		if err != nil {
 			return nil, err
 		}
-		outcome.Algorithm = c.Name()
+		return &out, nil
+	}
+	seed := spec.ClustSeed
+	if seed == 0 {
+		seed = 1
+	}
+	span := float64(spec.KMax - spec.KMin + 1)
+	sel, res, err := cluster.SweepKBySilhouette(ctx, data, spec.KMin, spec.KMax, seed,
+		func(k int, _ float64) {
+			t.SetProgress(0.05 + 0.9*float64(k-spec.KMin+1)/span)
+		})
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	t.SetProgress(0.95)
-	outcome.K = res.K
-	outcome.Assignments = res.Assignments
-	outcome.Inertia = res.Inertia
-	outcome.Iterations = res.Iterations
-	outcome.Converged = res.Converged
-	if !sweep {
-		sil, err := quality.Silhouette(ctx, data, res.Assignments)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err == nil {
-			outcome.Silhouette = &sil
-		}
+	out := newClusterOutcome("kmeans", res)
+	out.KScores = sel.Scores
+	// The sweep scored the chosen k already; -1 marks a degenerate
+	// clustering, which has no silhouette.
+	if sil := sel.Scores[sel.K]; sil > -1 {
+		out.Silhouette = &sil
 	}
-	return outcome, nil
+	return &out, nil
 }
 
 // Evaluation is the evaluate job's result: the paper's tables as a

@@ -28,7 +28,14 @@ import (
 	"time"
 
 	"ppclust/internal/codec"
+	"ppclust/internal/datastore"
+	"ppclust/internal/federation"
+	"ppclust/internal/jobs"
 	"ppclust/internal/matrix"
+	"ppclust/internal/obs"
+	"ppclust/internal/ring"
+	"ppclust/internal/service"
+	"ppclust/internal/tuning"
 )
 
 // Wire format values for Client.Wire.
@@ -43,18 +50,51 @@ const (
 // TraceHeader is the request-ID header the daemon adopts and reflects:
 // set it (or use WithTraceID) to pin the server-side trace ID a request
 // runs under, so client-side reports can quote server traces.
-const TraceHeader = "X-Ppclust-Trace"
-
-// traceKeyT keys a pinned outgoing trace ID on a context. Kept private
-// and package-local so ppclient stays dependency-free of the daemon's
-// internals.
-type traceKeyT struct{}
+const TraceHeader = obs.TraceHeader
 
 // WithTraceID returns a context that pins id as the X-Ppclust-Trace
-// header of every request built from it.
+// header of every request built from it (obs.WithTraceID).
 func WithTraceID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, traceKeyT{}, id)
+	return obs.WithTraceID(ctx, id)
 }
+
+// The dataset, job, federation and tune bodies are the daemon's own
+// types, so a field the daemon serves is a field the client reads.
+type (
+	// Party is one federation member: its owner and its contribution.
+	Party = federation.Party
+	// Federation is the secret-free federation view.
+	Federation = federation.View
+	// FederationConfig is the creation spec: the agreed schema and the
+	// transform parameters of the shared key fit.
+	FederationConfig = service.CreateFederationSpec
+	// Analysis selects the joint clustering a seal schedules.
+	Analysis = service.FedAnalysisSpec
+	// ResultParty locates one party's rows inside the joint assignments.
+	ResultParty = service.FedResultParty
+	// Result is the joint clustering outcome; its clustering fields come
+	// from the embedded service.ClusterOutcome.
+	Result = service.FedOutcome
+	// DatasetMeta is the secret-free dataset description.
+	DatasetMeta = datastore.Meta
+	// JobStatus is a job's snapshot. TraceID is the trace of the request
+	// that submitted the job; Timeline is the per-stage duration record
+	// it left behind (queued, running, then every engine/store stage).
+	JobStatus = jobs.Status
+	// JobStage is one entry of a job's timeline.
+	JobStage = obs.Stage
+	// TuneSpec parameterizes a tune job: the sweep grids, the clustering
+	// algorithm every candidate is scored with, and the recommendation
+	// constraint. It is the job spec; SubmitTune fills in Type and
+	// Dataset. Zero values defer to the daemon's defaults (all
+	// mechanisms, the standard rho/sigma grids, kmeans requires K).
+	TuneSpec = service.JobSpec
+	// TunePoint is one evaluated candidate of a tune sweep.
+	TunePoint = tuning.Point
+	// TuneResult is the tune job's result payload: every evaluated point,
+	// the Pareto frontier, and the recommended operating point.
+	TuneResult = tuning.Result
+)
 
 // Client talks to one ppclustd instance on behalf of one owner.
 type Client struct {
@@ -89,7 +129,7 @@ type Client struct {
 	// ringTable, when loaded by UseRing, routes owner-scoped requests
 	// straight to the owner's home node.
 	ringMu    sync.RWMutex
-	ringTable *ringState
+	ringTable *ring.Ring
 }
 
 // New returns a client for owner against baseURL.
@@ -132,84 +172,6 @@ func IsCode(err error, code string) bool {
 func IsStatus(err error, status int) bool {
 	var ae *APIError
 	return errors.As(err, &ae) && ae.Status == status
-}
-
-// Party mirrors the daemon's federation member record.
-type Party struct {
-	Owner    string    `json:"owner"`
-	JoinedAt time.Time `json:"joined_at"`
-	Dataset  string    `json:"dataset,omitempty"`
-	Rows     int       `json:"rows,omitempty"`
-}
-
-// Federation mirrors the daemon's secret-free federation view.
-type Federation struct {
-	ID            string    `json:"id"`
-	Name          string    `json:"name"`
-	Coordinator   string    `json:"coordinator"`
-	State         string    `json:"state"`
-	Columns       []string  `json:"columns"`
-	Norm          string    `json:"norm,omitempty"`
-	Rho1          float64   `json:"rho1,omitempty"`
-	Rho2          float64   `json:"rho2,omitempty"`
-	Parties       []Party   `json:"parties"`
-	Contributions int       `json:"contributions"`
-	RowsTotal     int       `json:"rows_total"`
-	JobID         string    `json:"job_id,omitempty"`
-	CreatedAt     time.Time `json:"created_at"`
-}
-
-// FederationConfig is the creation spec: the agreed schema and transform
-// parameters of the shared key fit.
-type FederationConfig struct {
-	Name    string   `json:"name"`
-	Columns []string `json:"columns"`
-	Norm    string   `json:"norm,omitempty"`
-	Rho1    float64  `json:"rho1,omitempty"`
-	Rho2    float64  `json:"rho2,omitempty"`
-	Seed    int64    `json:"seed,omitempty"`
-}
-
-// Analysis selects the joint clustering a seal schedules.
-type Analysis struct {
-	Algorithm string  `json:"algorithm,omitempty"`
-	K         int     `json:"k,omitempty"`
-	Linkage   string  `json:"linkage,omitempty"`
-	Eps       float64 `json:"eps,omitempty"`
-	MinPts    int     `json:"min_pts,omitempty"`
-	Sigma     float64 `json:"sigma,omitempty"`
-	ClustSeed int64   `json:"cluster_seed,omitempty"`
-}
-
-// ResultParty locates one party's rows inside the joint assignments.
-type ResultParty struct {
-	Owner  string `json:"owner"`
-	Rows   int    `json:"rows"`
-	Offset int    `json:"offset"`
-}
-
-// Result is the joint clustering outcome.
-type Result struct {
-	Federation  string        `json:"federation"`
-	Algorithm   string        `json:"algorithm"`
-	K           int           `json:"k"`
-	Parties     []ResultParty `json:"parties"`
-	Assignments []int         `json:"assignments"`
-	Inertia     float64       `json:"inertia,omitempty"`
-	Iterations  int           `json:"iterations,omitempty"`
-	Converged   bool          `json:"converged"`
-	Silhouette  *float64      `json:"silhouette,omitempty"`
-}
-
-// PartyAssignments returns the slice of the joint assignments that belongs
-// to owner's rows, in contribution order.
-func (r *Result) PartyAssignments(owner string) []int {
-	for _, p := range r.Parties {
-		if p.Owner == owner {
-			return r.Assignments[p.Offset : p.Offset+p.Rows]
-		}
-	}
-	return nil
 }
 
 // CreateFederation creates a federation coordinated by the client's owner.
@@ -362,21 +324,15 @@ func (c *Client) Result(ctx context.Context, id string) (*Result, error) {
 		interval = 50 * time.Millisecond
 	}
 	for {
-		var wrapper struct {
-			Status struct {
-				State string `json:"state"`
-				Error string `json:"error"`
-			} `json:"status"`
-			Result *Result `json:"result"`
-		}
-		err := c.doJSON(ctx, http.MethodGet, "/v1/federations/"+id+"/result", nil, &wrapper)
+		var body jobs.ResultView[*Result]
+		err := c.doJSON(ctx, http.MethodGet, "/v1/federations/"+id+"/result", nil, &body)
 		switch {
 		case err == nil:
-			switch wrapper.Status.State {
-			case "done":
-				return wrapper.Result, nil
-			case "failed", "cancelled":
-				return nil, fmt.Errorf("ppclient: joint analysis %s: %s", wrapper.Status.State, wrapper.Status.Error)
+			switch body.Status.State {
+			case jobs.StateDone:
+				return body.Result, nil
+			case jobs.StateFailed, jobs.StateCancelled:
+				return nil, fmt.Errorf("ppclient: joint analysis %s: %s", body.Status.State, body.Status.Error)
 			}
 		case IsStatus(err, http.StatusConflict):
 			// Still queued or running; keep polling.
@@ -461,7 +417,7 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body io.Re
 	if c.Token != "" {
 		req.Header.Set("Authorization", "Bearer "+c.Token)
 	}
-	if id, _ := ctx.Value(traceKeyT{}).(string); id != "" {
+	if id := obs.TraceID(ctx); id != "" {
 		req.Header.Set(TraceHeader, id)
 	}
 	return req, nil
@@ -655,31 +611,14 @@ func (c *Client) backoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// apiError decodes the shared error envelope {"error":{"code","message"}},
+// apiError decodes the shared error envelope (service.ErrorEnvelope),
 // falling back to the raw body for the plain-text answers that never
 // carry it (the mux's 404, a proxy's 502).
 func apiError(status int, raw []byte) error {
-	var env struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
-	if json.Unmarshal(raw, &env) == nil && env.Error.Message != "" {
-		return &APIError{Status: status, Code: env.Error.Code, Message: env.Error.Message}
+	if body, ok := service.ParseError(raw); ok {
+		return &APIError{Status: status, Code: body.Code, Message: body.Message}
 	}
 	return &APIError{Status: status, Message: strings.TrimSpace(string(raw))}
-}
-
-// DatasetMeta mirrors the daemon's secret-free dataset description.
-type DatasetMeta struct {
-	Owner     string    `json:"owner"`
-	Name      string    `json:"name"`
-	Rows      int       `json:"rows"`
-	Cols      int       `json:"cols"`
-	Attrs     []string  `json:"attrs"`
-	Labeled   bool      `json:"labeled"`
-	CreatedAt time.Time `json:"created_at"`
 }
 
 // UploadDataset uploads rows as the owner's named dataset. The first
@@ -738,40 +677,6 @@ func (c *Client) DeleteDataset(ctx context.Context, name string) error {
 	return c.doJSON(ctx, http.MethodDelete, "/v1/datasets/"+url.PathEscape(name), nil, nil)
 }
 
-// JobStage is one entry of a job's persistent per-stage timeline.
-type JobStage struct {
-	Stage      string  `json:"stage"`
-	DurationMs float64 `json:"duration_ms"`
-}
-
-// JobStatus mirrors the daemon's job snapshot.
-type JobStatus struct {
-	ID         string     `json:"id"`
-	Owner      string     `json:"owner"`
-	Type       string     `json:"type"`
-	State      string     `json:"state"`
-	Progress   float64    `json:"progress"`
-	Error      string     `json:"error,omitempty"`
-	CreatedAt  time.Time  `json:"created_at"`
-	StartedAt  *time.Time `json:"started_at,omitempty"`
-	FinishedAt *time.Time `json:"finished_at,omitempty"`
-	// TraceID is the trace of the request that submitted the job; Timeline
-	// is the per-stage duration record the job left behind (queued,
-	// running, then every engine/store stage of the run).
-	TraceID  string     `json:"trace_id,omitempty"`
-	Timeline []JobStage `json:"timeline,omitempty"`
-}
-
-// Terminal reports whether the job has finished (done, failed or
-// cancelled).
-func (j *JobStatus) Terminal() bool {
-	switch j.State {
-	case "done", "failed", "cancelled":
-		return true
-	}
-	return false
-}
-
 // SubmitJob submits spec (any JSON-marshalable job spec carrying a "type"
 // field) and returns the accepted job's initial status.
 func (c *Client) SubmitJob(ctx context.Context, spec any) (*JobStatus, error) {
@@ -813,19 +718,16 @@ func (c *Client) CancelJob(ctx context.Context, id string) (*JobStatus, error) {
 // be nil to discard it), returning the final status. A 409 means the job
 // is still in flight; use WaitJob to poll to completion.
 func (c *Client) JobResult(ctx context.Context, id string, out any) (*JobStatus, error) {
-	var wrapper struct {
-		Status JobStatus       `json:"status"`
-		Result json.RawMessage `json:"result"`
-	}
-	if err := c.doJSON(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil, &wrapper); err != nil {
+	var body jobs.ResultView[json.RawMessage]
+	if err := c.doJSON(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil, &body); err != nil {
 		return nil, err
 	}
-	if out != nil && len(wrapper.Result) > 0 && string(wrapper.Result) != "null" {
-		if err := json.Unmarshal(wrapper.Result, out); err != nil {
+	if out != nil && len(body.Result) > 0 && string(body.Result) != "null" {
+		if err := json.Unmarshal(body.Result, out); err != nil {
 			return nil, fmt.Errorf("ppclient: decoding job result: %w", err)
 		}
 	}
-	return &wrapper.Status, nil
+	return &body.Status, nil
 }
 
 // WaitJob polls job id until it reaches a terminal state (or ctx is
@@ -843,7 +745,7 @@ func (c *Client) WaitJob(ctx context.Context, id string, onProgress func(*JobSta
 		if onProgress != nil {
 			onProgress(st)
 		}
-		if st.Terminal() {
+		if st.State.Terminal() {
 			return st, nil
 		}
 		select {
@@ -854,75 +756,10 @@ func (c *Client) WaitJob(ctx context.Context, id string, onProgress func(*JobSta
 	}
 }
 
-// TuneSpec parameterizes a tune job: the sweep grids, the clustering
-// algorithm every candidate is scored with, and the recommendation
-// constraint. Zero values defer to the daemon's defaults (all mechanisms,
-// the standard rho/sigma grids, kmeans requires K).
-type TuneSpec struct {
-	// Algorithm and its parameters mirror the cluster job spec.
-	Algorithm string  `json:"algorithm,omitempty"`
-	K         int     `json:"k,omitempty"`
-	Linkage   string  `json:"linkage,omitempty"`
-	Eps       float64 `json:"eps,omitempty"`
-	MinPts    int     `json:"min_pts,omitempty"`
-	Sigma     float64 `json:"sigma,omitempty"`
-	ClustSeed int64   `json:"cluster_seed,omitempty"`
-	// Norm is the shared normalization ("" = zscore).
-	Norm string `json:"norm,omitempty"`
-	// Mechanisms, Rhos and Sigmas define the grid.
-	Mechanisms []string  `json:"mechanisms,omitempty"`
-	Rhos       []float64 `json:"rhos,omitempty"`
-	Sigmas     []float64 `json:"sigmas,omitempty"`
-	// Seed pins candidate randomness; Known sizes the simulated
-	// known-sample adversary.
-	Seed  int64 `json:"seed,omitempty"`
-	Known int   `json:"known,omitempty"`
-	// MinSec is the recommendation's security floor ("max utility such
-	// that Sec >= MinSec"); Refine adds adaptive refinement rounds.
-	MinSec float64 `json:"min_sec,omitempty"`
-	Refine int     `json:"refine,omitempty"`
-}
-
-// TunePoint is one evaluated candidate of a tune sweep.
-type TunePoint struct {
-	Mechanism         string  `json:"mechanism"`
-	Rho               float64 `json:"rho,omitempty"`
-	Sigma             float64 `json:"sigma,omitempty"`
-	Describe          string  `json:"describe,omitempty"`
-	Misclassification float64 `json:"misclassification"`
-	FMeasure          float64 `json:"f_measure"`
-	RandIndex         float64 `json:"rand_index"`
-	MinSecurity       float64 `json:"min_security"`
-	ReidentRate       float64 `json:"reident_rate"`
-	AttackError       string  `json:"attack_error,omitempty"`
-	Err               string  `json:"error,omitempty"`
-}
-
-// TuneResult is the tune job's result payload: every evaluated point, the
-// Pareto frontier, and the recommended operating point.
-type TuneResult struct {
-	Rows          int         `json:"rows"`
-	Cols          int         `json:"cols"`
-	Algorithm     string      `json:"algorithm"`
-	BaselineK     int         `json:"baseline_k"`
-	Evaluated     int         `json:"evaluated"`
-	Failed        int         `json:"failed"`
-	Pruned        int         `json:"pruned"`
-	MinSec        float64     `json:"min_sec_constraint"`
-	Points        []TunePoint `json:"points"`
-	Frontier      []TunePoint `json:"frontier"`
-	Recommended   *TunePoint  `json:"recommended,omitempty"`
-	RecommendNote string      `json:"recommend_note,omitempty"`
-}
-
 // SubmitTune submits a tune job over the named stored dataset.
 func (c *Client) SubmitTune(ctx context.Context, dataset string, spec TuneSpec) (*JobStatus, error) {
-	body := struct {
-		Type    string `json:"type"`
-		Dataset string `json:"dataset"`
-		TuneSpec
-	}{Type: "tune", Dataset: dataset, TuneSpec: spec}
-	return c.SubmitJob(ctx, body)
+	spec.Type, spec.Dataset = service.JobTune, dataset
+	return c.SubmitJob(ctx, spec)
 }
 
 // TuneResult waits for tune job id to finish and returns its frontier. A
@@ -932,7 +769,7 @@ func (c *Client) TuneResult(ctx context.Context, id string, onProgress func(*Job
 	if err != nil {
 		return nil, err
 	}
-	if st.State != "done" {
+	if st.State != jobs.StateDone {
 		return nil, fmt.Errorf("ppclient: tune job %s: %s", st.State, st.Error)
 	}
 	var out TuneResult

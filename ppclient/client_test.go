@@ -15,6 +15,7 @@ import (
 
 	"ppclust/internal/codec"
 	"ppclust/internal/matrix"
+	"ppclust/internal/service"
 )
 
 // TestTokenCaptureAndErrors exercises the client plumbing against a stub
@@ -62,8 +63,8 @@ func TestTokenCaptureAndErrors(t *testing.T) {
 
 func TestPartyAssignments(t *testing.T) {
 	r := &Result{
-		Parties:     []ResultParty{{Owner: "a", Rows: 2, Offset: 0}, {Owner: "b", Rows: 3, Offset: 2}},
-		Assignments: []int{0, 0, 1, 1, 2},
+		Parties:        []ResultParty{{Owner: "a", Rows: 2, Offset: 0}, {Owner: "b", Rows: 3, Offset: 2}},
+		ClusterOutcome: service.ClusterOutcome{Assignments: []int{0, 0, 1, 1, 2}},
 	}
 	if got := r.PartyAssignments("b"); len(got) != 3 || got[0] != 1 || got[2] != 2 {
 		t.Fatalf("b assignments = %v", got)

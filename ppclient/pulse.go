@@ -110,10 +110,7 @@ func (c *Client) Alerts(ctx context.Context, cluster bool) (*AlertList, error) {
 // newest first. Enabled is false when the daemon runs without an
 // incident directory.
 func (c *Client) Incidents(ctx context.Context) (bool, []Incident, error) {
-	var out struct {
-		Enabled   bool       `json:"enabled"`
-		Incidents []Incident `json:"incidents"`
-	}
+	var out obs.IncidentList
 	if err := c.doJSON(ctx, http.MethodGet, "/v1/incidents", nil, &out); err != nil {
 		return false, nil, err
 	}

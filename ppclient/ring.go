@@ -10,7 +10,6 @@ import (
 	"context"
 	"net/http"
 	"strings"
-	"sync"
 
 	"ppclust/internal/ring"
 )
@@ -32,13 +31,6 @@ func (c *Client) RingStatus(ctx context.Context) (*RingStatus, error) {
 	return &out, nil
 }
 
-// ringState is the client-side placement table built by UseRing.
-type ringState struct {
-	mu    sync.RWMutex
-	ring  *ring.Ring
-	nodes map[string]string // id → addr
-}
-
 // UseRing fetches the ring membership from BaseURL and routes subsequent
 // owner-scoped requests directly to the owner's home node instead of
 // letting an arbitrary node forward them. A no-op (returning nil) when
@@ -54,13 +46,9 @@ func (c *Client) UseRing(ctx context.Context) error {
 		return nil
 	}
 	r := ring.New(st.Vnodes)
-	nodes := make(map[string]string, len(st.Nodes))
-	for _, n := range st.Nodes {
-		nodes[n.ID] = n.Addr
-	}
 	r.Seed(st.Epoch, st.Nodes)
 	c.ringMu.Lock()
-	c.ringTable = &ringState{ring: r, nodes: nodes}
+	c.ringTable = r
 	c.ringMu.Unlock()
 	return nil
 }
@@ -76,7 +64,7 @@ func (c *Client) routeBase(path string) string {
 	if table == nil || strings.HasPrefix(path, "/v1/federations") || strings.HasPrefix(path, "/v1/ring") {
 		return c.BaseURL
 	}
-	n, ok := table.ring.Owner(ring.OwnerKey(c.Owner))
+	n, ok := table.Owner(ring.OwnerKey(c.Owner))
 	if !ok || n.Addr == "" {
 		return c.BaseURL
 	}

@@ -187,7 +187,7 @@ func TestUseRingRoutesToOwnerNode(t *testing.T) {
 	// The datasets call must have gone to whichever node owns
 	// "owner:some-owner" under the same hash the daemons use.
 	want := "a"
-	if n, ok := c.ringTable.ring.Owner("owner:some-owner"); ok && n.ID == "b" {
+	if n, ok := c.ringTable.Owner("owner:some-owner"); ok && n.ID == "b" {
 		want = "b"
 	}
 	mu.Lock()

@@ -80,9 +80,7 @@ func (c *Client) Traces(ctx context.Context, f TraceFilter) ([]TraceSummary, err
 	if len(q) > 0 {
 		path += "?" + q.Encode()
 	}
-	var out struct {
-		Traces []TraceSummary `json:"traces"`
-	}
+	var out obs.TraceList
 	if err := c.doJSON(ctx, http.MethodGet, path, nil, &out); err != nil {
 		return nil, err
 	}
